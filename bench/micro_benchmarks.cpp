@@ -100,21 +100,8 @@ void BM_Fingerprint(benchmark::State& state) {
 }
 BENCHMARK(BM_Fingerprint);
 
-void BM_InformationGain(benchmark::State& state) {
-    const auto records = make_records(static_cast<std::size_t>(state.range(0)));
-    const core::Deanonymizer deanonymizer(records);
-    const core::ResolutionConfig config = core::full_resolution();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(deanonymizer.information_gain(config));
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            state.range(0));
-}
-BENCHMARK(BM_InformationGain)->Arg(10'000)->Arg(100'000)->Arg(250'000);
-
-// Row vs columnar IG over the same payments (the speedup the SoA
-// layout buys: one batched fingerprint pass with per-account and
-// per-currency precomputation instead of two row scans).
+// IG over the columnar store: one batched fingerprint pass with
+// per-account and per-currency precomputation.
 void BM_InformationGainColumnar(benchmark::State& state) {
     const auto records = make_records(static_cast<std::size_t>(state.range(0)));
     const ledger::PaymentColumns columns =
@@ -170,25 +157,17 @@ void BM_IgStudyThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_IgStudyThreads)->Apply(ThreadSweepArgs);
 
-// Ablation: one indexed attack vs scanning the whole history.
+// One indexed attack query against a precomputed fingerprint index.
 void BM_AttackIndexed(benchmark::State& state) {
     const auto records = make_records(100'000);
-    const core::AttackIndex index(records, core::full_resolution());
+    const ledger::PaymentColumns columns =
+        ledger::PaymentColumns::from_records(records);
+    const core::AttackIndex index(columns, core::full_resolution());
     for (auto _ : state) {
         benchmark::DoNotOptimize(index.candidate_senders(records[12'345]));
     }
 }
 BENCHMARK(BM_AttackIndexed);
-
-void BM_AttackScan(benchmark::State& state) {
-    const auto records = make_records(100'000);
-    const core::Deanonymizer deanonymizer(records);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            deanonymizer.attack(records[12'345], core::full_resolution()));
-    }
-}
-BENCHMARK(BM_AttackScan);
 
 struct PathWorld {
     ledger::LedgerState state;

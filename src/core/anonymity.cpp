@@ -43,29 +43,6 @@ std::uint32_t AnonymityProfile::set_size_quantile(double fraction) const noexcep
     return histogram_.empty() ? 0 : histogram_.rbegin()->first;
 }
 
-AnonymityProfile analyze_anonymity(std::span<const ledger::TxRecord> records,
-                                   const ResolutionConfig& config) {
-    // fingerprint -> (payment count, distinct senders).
-    struct Bucket {
-        std::uint64_t payments = 0;
-        std::unordered_set<ledger::AccountID> senders;
-    };
-    std::unordered_map<std::uint64_t, Bucket> buckets;
-    buckets.reserve(records.size());
-    for (const ledger::TxRecord& record : records) {
-        Bucket& bucket = buckets[fingerprint(record, config)];
-        ++bucket.payments;
-        bucket.senders.insert(record.sender);
-    }
-
-    AnonymityProfile profile;
-    for (const auto& [fp, bucket] : buckets) {
-        profile.add(static_cast<std::uint32_t>(bucket.senders.size()),
-                    bucket.payments);
-    }
-    return profile;
-}
-
 AnonymityProfile analyze_anonymity(ledger::PaymentView view,
                                    const ResolutionConfig& config) {
     const std::vector<std::uint64_t> fingerprints = fingerprint_column(view, config);

@@ -69,29 +69,37 @@ AccountClusters cluster_by_activation(std::span<const ActivationEdge> edges) {
     return clusters;
 }
 
-IgResult clustered_information_gain(std::span<const ledger::TxRecord> records,
+IgResult clustered_information_gain(ledger::PaymentView view,
                                     const ResolutionConfig& config,
                                     const AccountClusters& clusters) {
+    const std::vector<std::uint64_t> fingerprints = fingerprint_column(view, config);
+    const ledger::PaymentColumns& columns = view.columns();
+
+    // Resolve each interned sender to its entity once, not per payment.
+    std::unordered_map<std::uint32_t, ledger::AccountID> entity_of;
     struct Bucket {
         ledger::AccountID entity;
         bool multi = false;
     };
     std::unordered_map<std::uint64_t, Bucket> buckets;
-    buckets.reserve(records.size());
+    buckets.reserve(fingerprints.size());
 
-    for (const ledger::TxRecord& record : records) {
-        const std::uint64_t fp = fingerprint(record, config);
-        const ledger::AccountID entity = clusters.representative(record.sender);
-        auto [it, inserted] = buckets.try_emplace(fp, Bucket{entity, false});
+    for (std::size_t i = 0; i < fingerprints.size(); ++i) {
+        const std::uint32_t sender = columns.sender_id[view.offset() + i];
+        auto [cached, fresh] = entity_of.try_emplace(sender);
+        if (fresh) {
+            cached->second = clusters.representative(columns.accounts.at(sender));
+        }
+        const ledger::AccountID& entity = cached->second;
+        auto [it, inserted] =
+            buckets.try_emplace(fingerprints[i], Bucket{entity, false});
         if (!inserted && !(it->second.entity == entity)) it->second.multi = true;
     }
 
     IgResult result;
-    result.total_payments = records.size();
-    for (const ledger::TxRecord& record : records) {
-        if (!buckets.at(fingerprint(record, config)).multi) {
-            ++result.uniquely_identified;
-        }
+    result.total_payments = fingerprints.size();
+    for (const std::uint64_t fp : fingerprints) {
+        if (!buckets.at(fp).multi) ++result.uniquely_identified;
     }
     return result;
 }

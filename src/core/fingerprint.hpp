@@ -12,7 +12,7 @@
 // collide structurally, only through (negligible) hash accident.
 //
 // Two evaluation paths produce bit-identical fingerprints:
-//  * fingerprint(record, config): one row at a time (legacy callers).
+//  * fingerprint(record, config): one observation (attack() inputs).
 //  * fingerprint_column(view, config): the whole history in one pass
 //    over the columnar store, with per-column precomputation — each
 //    distinct account is folded to its hash word once, each currency

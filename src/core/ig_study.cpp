@@ -65,17 +65,6 @@ std::vector<IgStudyRow> attach_paper_references(std::vector<IgResult> results,
 
 }  // namespace
 
-std::vector<IgStudyRow> run_ig_study(std::span<const ledger::TxRecord> records) {
-    const Deanonymizer deanonymizer(records);
-    const std::vector<ResolutionConfig> configs = fig3_configurations();
-    std::vector<IgResult> results;
-    results.reserve(configs.size());
-    for (const ResolutionConfig& config : configs) {
-        results.push_back(deanonymizer.information_gain(config));
-    }
-    return attach_paper_references(std::move(results), configs);
-}
-
 std::vector<IgStudyRow> run_ig_study(const ledger::PaymentColumns& payments) {
     return run_ig_study(payments.view());
 }

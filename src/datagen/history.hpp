@@ -33,13 +33,8 @@ struct GeneratedHistory {
     ledger::LedgerState ledger;
     Population population;
     /// The canonical payment dataset: columnar, dictionary-encoded.
-    /// Consumers needing AoS rows call to_records() (a copy) or
-    /// payments.view() (zero-copy).
+    /// Row-shaped consumers iterate payments.view() (zero-copy).
     ledger::PaymentColumns payments;
-
-    [[nodiscard]] std::vector<ledger::TxRecord> to_records() const {
-        return payments.to_records();
-    }
 
     // --- aggregates, filled while the history streams past -----------
     std::unordered_map<ledger::Currency, std::uint64_t> currency_counts;

@@ -1,7 +1,5 @@
 #include "datagen/spam.hpp"
 
-#include <span>
-
 namespace xrpl::datagen {
 
 const char* spam_kind_name(SpamKind kind) noexcept {
@@ -47,15 +45,6 @@ void tally(SpamBreakdown& breakdown, SpamKind kind) noexcept {
 }
 
 }  // namespace
-
-SpamBreakdown spam_breakdown(std::span<const ledger::TxRecord> records,
-                             const Population& population) {
-    SpamBreakdown breakdown;
-    for (const ledger::TxRecord& record : records) {
-        tally(breakdown, classify(record, population));
-    }
-    return breakdown;
-}
 
 SpamBreakdown spam_breakdown(ledger::PaymentView view,
                              const Population& population) {

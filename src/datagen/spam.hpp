@@ -8,8 +8,6 @@
 // annotate the same anomalies the paper calls out.
 #pragma once
 
-#include <span>
-
 #include "datagen/population.hpp"
 #include "ledger/payment_columns.hpp"
 #include "ledger/transaction.hpp"
@@ -43,11 +41,9 @@ struct SpamBreakdown {
     }
 };
 
-[[nodiscard]] SpamBreakdown spam_breakdown(
-    std::span<const ledger::TxRecord> records, const Population& population);
-
-/// Column-native overload: resolves the campaign accounts/currencies to
-/// interned ids once, then classifies on the integer columns.
+/// Classify every payment of a history: resolves the campaign
+/// accounts/currencies to interned ids once, then classifies on the
+/// integer columns (the same rules as classify()).
 [[nodiscard]] SpamBreakdown spam_breakdown(ledger::PaymentView view,
                                            const Population& population);
 

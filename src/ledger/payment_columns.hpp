@@ -15,9 +15,11 @@
 // across all 23M rows — the same canonical-storage/row-view split
 // rippled's SHAMap adapters apply.
 //
-// PaymentView is the zero-copy row adapter: legacy consumers iterate
-// it and receive TxRecord-shaped rows reconstructed on the fly, so
-// the row-oriented API keeps working during (and after) migration.
+// PaymentView is the zero-copy window every analysis takes:
+// column-native scans reach through columns()/offset(), and row-shaped
+// consumers iterate it and receive TxRecords reconstructed on the fly.
+// This store is the ONLY history representation; TxRecord is the type
+// of one observation, not a second backend.
 #pragma once
 
 #include <cstdint>
@@ -96,15 +98,13 @@ struct PaymentColumns {
     void reserve(std::size_t n);
     void push_back(const TxRecord& record);
 
-    /// Reconstruct row `i` as a legacy TxRecord.
+    /// Reconstruct row `i` as a TxRecord (one observation).
     [[nodiscard]] TxRecord row(std::size_t i) const noexcept;
-
-    /// Materialize the whole store as rows (migration escape hatch).
-    [[nodiscard]] std::vector<TxRecord> to_records() const;
 
     /// Zero-copy row view over all payments.
     [[nodiscard]] PaymentView view() const noexcept;
 
+    /// Intern hand-built rows (test fixtures, small examples).
     [[nodiscard]] static PaymentColumns from_records(
         std::span<const TxRecord> records);
 };

@@ -54,9 +54,8 @@ void GraphIndex::build(const ledger::LedgerState& ledger) {
     }
 
     // Pass 3 — fill. Per-node edge order within a partition preserves
-    // lines_of() insertion order (the legacy scan's enumeration
-    // order), which is what makes the two engines return identical
-    // paths when ties exist.
+    // lines_of() insertion order, so searches break ties in ledger
+    // insertion order and the Table II goldens stay put.
     std::vector<std::uint32_t> cursor;
     for (Partition& part : partitions_) {
         cursor.assign(part.offsets.begin(), part.offsets.end() - 1);
@@ -71,6 +70,10 @@ void GraphIndex::build(const ledger::LedgerState& ledger) {
                 const ledger::AccountRoot* peer = ledger.account(peer_id);
                 XRPL_ASSERT(peer != nullptr,
                             "trust lines must connect existing accounts");
+                // A self-loop would let the path finder "ripple" value
+                // without moving it.
+                XRPL_ASSERT(peer->index != i,
+                            "trust lines must connect two distinct accounts");
                 part.edges[cursor[i]++] =
                     Edge{peer->index, line, node_is_low, peer->allows_rippling};
             }

@@ -1,15 +1,14 @@
 // Currency-partitioned CSR adjacency over the ledger's trust lines —
-// the path subsystem's answer to the columnar refactors every scan
-// layer already had (DESIGN.md §16).
+// the one neighbor structure both path finders search (DESIGN.md §16).
 //
-// The legacy TrustGraph answers a neighbor query by scanning
-// lines_of(account) — ALL currencies mixed — filtering by currency,
-// hashing AccountIDs, and re-looking-up AccountRoot per visit. This
-// index is built once per topology: for each currency, a
-// compressed-sparse-row table of (peer index, TrustLine*, direction
-// bit, cached rippling flag) keyed by the ledger's dense account
-// index, so the bidirectional-BFS inner loop becomes a flat span walk
-// over uint32 indices with zero hashing and zero account() lookups.
+// lines_of(account) mixes ALL currencies and speaks AccountIDs; a
+// search over it would filter by currency, hash accounts and look up
+// AccountRoots on every visit. This index is built once per topology:
+// for each currency, a compressed-sparse-row table of (peer index,
+// TrustLine*, direction bit, cached rippling flag) keyed by the
+// ledger's dense account index, so the bidirectional-BFS inner loop is
+// a flat span walk over uint32 indices with zero hashing and zero
+// account() lookups.
 //
 // Invalidation contract: CAPACITY is read live through the stored
 // TrustLine* at visit time, so balance/limit mutations by the payment
@@ -41,8 +40,8 @@ public:
     /// node i in this currency, and the DIRECTION decides which end's
     /// capacity to read — from node i: directed_capacity(node_is_low);
     /// towards node i: directed_capacity(!node_is_low). Per-node edge
-    /// order equals lines_of(account) insertion order, so both engines
-    /// enumerate neighbors identically.
+    /// order equals lines_of(account) insertion order (the searches'
+    /// tie-break order).
     struct Partition {
         ledger::Currency currency;
         std::vector<std::uint32_t> offsets;  // account_count + 1 row pointers

@@ -33,77 +33,12 @@ IouAmount path_capacity(const LedgerState& ledger,
     return best;
 }
 
-/// Legacy engine: enumerate via the lines_of() scan, resolving each
-/// peer's dense index and rippling flag through account() lookups.
-struct ScanExpander {
-    const TrustGraph& graph;
-    ledger::Currency currency;
-
-    template <typename Visit>
-    void out(std::uint32_t node_index, Visit&& visit) const {
-        const LedgerState& ledger = graph.ledger();
-        graph.for_each_neighbor(
-            ledger.account_by_index(node_index), currency,
-            [&](const AccountID& peer, const ledger::TrustLine*) {
-                const ledger::AccountRoot* root = ledger.account(peer);
-                if (root == nullptr) return;
-                visit(root->index, root->allows_rippling);
-            });
-    }
-
-    template <typename Visit>
-    void in(std::uint32_t node_index, Visit&& visit) const {
-        const LedgerState& ledger = graph.ledger();
-        graph.for_each_in_neighbor(
-            ledger.account_by_index(node_index), currency,
-            [&](const AccountID& peer, const ledger::TrustLine*) {
-                const ledger::AccountRoot* root = ledger.account(peer);
-                if (root == nullptr) return;
-                visit(root->index, root->allows_rippling);
-            });
-    }
-};
-
-/// Indexed engine: walk the currency partition's CSR spans. No
-/// hashing, no account() lookups — peer index, direction bit, and
-/// rippling flag are all in the 16-byte Edge record; only capacity is
-/// read live through the TrustLine pointer. A null partition (no line
-/// in this currency) behaves as an empty graph so both engines walk
-/// the same trivial frontier.
-struct IndexedExpander {
-    const TrustGraph& graph;
-    const GraphIndex::Partition* part;
-
-    template <typename Visit>
-    void out(std::uint32_t node_index, Visit&& visit) const {
-        if (part == nullptr) return;
-        for (const GraphIndex::Edge& edge : part->edges_of(node_index)) {
-            if (graph.is_excluded_index(edge.peer)) continue;
-            const IouAmount cap = edge.line->directed_capacity(edge.node_is_low);
-            if (cap.is_zero() || cap.is_negative()) continue;
-            visit(edge.peer, edge.peer_ripples);
-        }
-    }
-
-    template <typename Visit>
-    void in(std::uint32_t node_index, Visit&& visit) const {
-        if (part == nullptr) return;
-        for (const GraphIndex::Edge& edge : part->edges_of(node_index)) {
-            if (graph.is_excluded_index(edge.peer)) continue;
-            const IouAmount cap = edge.line->directed_capacity(!edge.node_is_low);
-            if (cap.is_zero() || cap.is_negative()) continue;
-            visit(edge.peer, edge.peer_ripples);
-        }
-    }
-};
-
 }  // namespace
 
-template <typename Expander>
 std::optional<TrustPath> PathFinder::run_search(
-    const TrustGraph& graph, const Expander& expand, const AccountID& from,
-    const AccountID& to, std::uint32_t src_index, std::uint32_t dst_index,
-    ledger::Currency currency) {
+    const TrustGraph& graph, const GraphIndex::Partition* part,
+    const AccountID& from, const AccountID& to, std::uint32_t src_index,
+    std::uint32_t dst_index, ledger::Currency currency) {
     const LedgerState& ledger = graph.ledger();
 
     if (nodes_.size() < ledger.account_count()) {
@@ -154,14 +89,21 @@ std::optional<TrustPath> PathFinder::run_search(
 
         std::deque<std::uint32_t> next_frontier;
         for (const std::uint32_t node_index : frontier) {
-            if (meeting) break;
-            auto visit = [&](std::uint32_t peer_index, bool peer_ripples) {
-                if (meeting) return;
+            if (meeting || part == nullptr) break;
+            for (const GraphIndex::Edge& edge : part->edges_of(node_index)) {
+                if (meeting) break;
+                const std::uint32_t peer_index = edge.peer;
+                if (graph.is_excluded_index(peer_index)) continue;
+                // Forward, value leaves the node (node -> peer); backward,
+                // it arrives (peer -> node). Capacity is read live.
+                const IouAmount cap = edge.line->directed_capacity(
+                    edge.node_is_low == expand_forward);
+                if (cap.is_zero() || cap.is_negative()) continue;
                 // DefaultRipple: only rippling-enabled accounts may sit
                 // in the interior of a path; the two endpoints always may.
-                if (!peer_ripples && peer_index != src_index &&
+                if (!edge.peer_ripples && peer_index != src_index &&
                     peer_index != dst_index) {
-                    return;
+                    continue;
                 }
                 if (seen(peer_index)) {
                     if (state(peer_index).direction != direction) {
@@ -170,16 +112,11 @@ std::optional<TrustPath> PathFinder::run_search(
                         mark_meeting_ = {node_index, peer_index, direction};
                         meeting = peer_index;
                     }
-                    return;
+                    continue;
                 }
                 mark(peer_index, direction, node_index, next_depth);
                 next_frontier.push_back(peer_index);
                 ++visited;
-            };
-            if (expand_forward) {
-                expand.out(node_index, visit);
-            } else {
-                expand.in(node_index, visit);
             }
         }
         frontier = std::move(next_frontier);
@@ -251,13 +188,9 @@ std::optional<TrustPath> PathFinder::find(const TrustGraph& graph,
 
     if (from == to) return std::nullopt;
 
-    if (graph.uses_index()) {
-        const IndexedExpander expand{graph, graph.index().partition(currency)};
-        return run_search(graph, expand, from, to, src->index, dst->index,
-                          currency);
-    }
-    const ScanExpander expand{graph, currency};
-    return run_search(graph, expand, from, to, src->index, dst->index, currency);
+    // A null partition (no line in this currency) walks an empty graph.
+    return run_search(graph, graph.index().partition(currency), from, to,
+                      src->index, dst->index, currency);
 }
 
 }  // namespace xrpl::paths

@@ -7,11 +7,9 @@
 // engine calls this repeatedly — executing each found path — to build
 // the parallel-path splits of Fig 6(b).
 //
-// The BFS core is one template, instantiated over two neighbor
-// expanders: the CSR GraphIndex (flat index-space spans, the default)
-// and the legacy lines_of() scan. Both enumerate neighbors in the
-// same order, so they return identical paths — the expander is the
-// ONLY thing that differs between the engines.
+// The BFS walks the TrustGraph's CSR GraphIndex: flat index-space
+// spans of one currency partition, capacity read live per edge, no
+// hashing and no account() lookups in the inner loop.
 #pragma once
 
 #include <optional>
@@ -49,8 +47,7 @@ public:
     explicit PathFinder(PathFinderConfig config = {}) noexcept : config_(config) {}
 
     /// Shortest positive-capacity path from `from` to `to` in
-    /// `currency`, or nullopt. `graph` exclusions are honored; the
-    /// engine (CSR index vs legacy scan) follows graph.uses_index().
+    /// `currency`, or nullopt. `graph` exclusions are honored.
     [[nodiscard]] std::optional<TrustPath> find(const TrustGraph& graph,
                                                 const ledger::AccountID& from,
                                                 const ledger::AccountID& to,
@@ -59,14 +56,11 @@ public:
     [[nodiscard]] const PathFinderConfig& config() const noexcept { return config_; }
 
 private:
-    /// The engine-agnostic bidirectional BFS. `expand.out(i, visit)` /
-    /// `expand.in(i, visit)` call visit(peer_index, peer_ripples) for
-    /// every positive-capacity, non-excluded neighbor of dense account
-    /// index i. Defined in path_finder.cpp; instantiated there for the
-    /// two expanders.
-    template <typename Expander>
+    /// The bidirectional BFS over `part` (the currency's CSR table;
+    /// null when no line in that currency exists) between the dense
+    /// account indices of `from` and `to`.
     std::optional<TrustPath> run_search(const TrustGraph& graph,
-                                        const Expander& expand,
+                                        const GraphIndex::Partition* part,
                                         const ledger::AccountID& from,
                                         const ledger::AccountID& to,
                                         std::uint32_t src_index,

@@ -24,52 +24,12 @@ struct QueueEntry {
     }
 };
 
-/// Legacy engine: lines_of() scan with per-visit account() lookups.
-/// Capacity is re-read from the line (same value the scan's own
-/// positive-capacity filter computed).
-struct ScanExpander {
-    const TrustGraph& graph;
-    ledger::Currency currency;
-
-    template <typename Visit>
-    void out(std::uint32_t node_index, Visit&& visit) const {
-        const LedgerState& ledger = graph.ledger();
-        const AccountID& node = ledger.account_by_index(node_index);
-        graph.for_each_neighbor(
-            node, currency,
-            [&](const AccountID& peer, const ledger::TrustLine* line) {
-                const ledger::AccountRoot* root = ledger.account(peer);
-                if (root == nullptr) return;
-                visit(root->index, root->allows_rippling,
-                      line->capacity_from(node));
-            });
-    }
-};
-
-/// Indexed engine: flat CSR span walk; capacity read live through the
-/// stored TrustLine pointer, direction resolved by the edge's bit.
-struct IndexedExpander {
-    const TrustGraph& graph;
-    const GraphIndex::Partition* part;
-
-    template <typename Visit>
-    void out(std::uint32_t node_index, Visit&& visit) const {
-        if (part == nullptr) return;
-        for (const GraphIndex::Edge& edge : part->edges_of(node_index)) {
-            if (graph.is_excluded_index(edge.peer)) continue;
-            const IouAmount cap = edge.line->directed_capacity(edge.node_is_low);
-            if (cap.is_zero() || cap.is_negative()) continue;
-            visit(edge.peer, edge.peer_ripples, cap);
-        }
-    }
-};
-
 }  // namespace
 
-template <typename Expander>
 std::optional<TrustPath> WidestPathFinder::run_search(
-    const TrustGraph& graph, const Expander& expand, const AccountID& from,
-    const AccountID& to, std::uint32_t src_index, std::uint32_t dst_index) {
+    const TrustGraph& graph, const GraphIndex::Partition* part,
+    const AccountID& from, const AccountID& to, std::uint32_t src_index,
+    std::uint32_t dst_index) {
     const LedgerState& ledger = graph.ledger();
 
     if (labels_.size() < ledger.account_count()) {
@@ -107,26 +67,26 @@ std::optional<TrustPath> WidestPathFinder::run_search(
         if (top.index == dst_index) break;
         if (++visited > config_.max_visited) return std::nullopt;
         if (label.depth >= config_.max_intermediate_hops + 1) continue;
+        if (part == nullptr) continue;
 
-        expand.out(top.index, [&](std::uint32_t peer_index, bool peer_ripples,
-                                  IouAmount edge) {
-            if (!peer_ripples && peer_index != dst_index) return;
-            // The expanders filter non-positive capacities; a negative
-            // edge here means the filter and this relaxation disagree
-            // about direction.
-            XRPL_ASSERT(!edge.is_negative(),
-                        "trust graph must only offer positive-capacity edges");
-            const IouAmount bottleneck = edge < label.best ? edge : label.best;
-            if (bottleneck.is_zero() || bottleneck.is_negative()) return;
+        for (const GraphIndex::Edge& edge : part->edges_of(top.index)) {
+            const std::uint32_t peer_index = edge.peer;
+            if (graph.is_excluded_index(peer_index)) continue;
+            // Capacity out of the settled node, read live.
+            const IouAmount cap = edge.line->directed_capacity(edge.node_is_low);
+            if (cap.is_zero() || cap.is_negative()) continue;
+            if (!edge.peer_ripples && peer_index != dst_index) continue;
+            const IouAmount bottleneck = cap < label.best ? cap : label.best;
+            if (bottleneck.is_zero() || bottleneck.is_negative()) continue;
             NodeLabel& peer_label = label_of(peer_index);
-            if (peer_label.settled) return;
+            if (peer_label.settled) continue;
             if (peer_label.best.is_zero() || peer_label.best < bottleneck) {
                 peer_label.best = bottleneck;
                 peer_label.parent = top.index;
                 peer_label.depth = static_cast<std::uint8_t>(label.depth + 1);
                 frontier.push(QueueEntry{bottleneck, peer_index});
             }
-        });
+        }
     }
 
     if (!seen(dst_index)) return std::nullopt;
@@ -162,12 +122,8 @@ std::optional<TrustPath> WidestPathFinder::find(const TrustGraph& graph,
     if (src == nullptr || dst == nullptr || from == to) return std::nullopt;
     if (graph.is_excluded(from) || graph.is_excluded(to)) return std::nullopt;
 
-    if (graph.uses_index()) {
-        const IndexedExpander expand{graph, graph.index().partition(currency)};
-        return run_search(graph, expand, from, to, src->index, dst->index);
-    }
-    const ScanExpander expand{graph, currency};
-    return run_search(graph, expand, from, to, src->index, dst->index);
+    return run_search(graph, graph.index().partition(currency), from, to,
+                      src->index, dst->index);
 }
 
 }  // namespace xrpl::paths

@@ -26,7 +26,7 @@ constexpr OptionInfo kOptionTable[] = {
      "Table II replay stream size (paper: 1.7 M)"},
     {"XRPL_BENCH_REPLAY_ACCOUNTS", "u64", "20000",
      "`ext_replay_scaling` population size (user accounts; the "
-     "index-vs-scan acceptance run uses 100000)"},
+     "paper-scale run uses 100000)"},
     {"XRPL_BENCH_DATAGEN_PAYMENTS", "u64", "100000",
      "history size for the `ext_datagen_scaling` thread sweep"},
     {"XRPL_BENCH_JSON_DIR", "string", ".",
@@ -35,11 +35,6 @@ constexpr OptionInfo kOptionTable[] = {
      "root of the content-addressed `.xcol` dataset cache (`src/snap/`); "
      "when set, generated histories are saved once and re-runs load the "
      "snapshot instead of regenerating (bit-identical either way)"},
-    {"XRPL_PATH_INDEX", "flag", "1",
-     "path/replay neighbor queries via the currency-partitioned CSR "
-     "`GraphIndex` (`src/paths/graph_index.*`); `0` falls back to the "
-     "legacy `lines_of()` scan; paths and `ReplayStats` are byte-identical "
-     "either way"},
 };
 
 std::size_t default_threads() {
@@ -66,7 +61,6 @@ Options Options::from_env() {
         env_u64("XRPL_BENCH_DATAGEN_PAYMENTS", opts.bench_datagen_payments);
     opts.bench_json_dir = env_string("XRPL_BENCH_JSON_DIR", opts.bench_json_dir);
     opts.dataset_dir = env_string("XRPL_DATASET_DIR", opts.dataset_dir);
-    opts.path_index = env_flag("XRPL_PATH_INDEX", opts.path_index);
     return opts;
 }
 

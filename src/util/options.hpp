@@ -49,12 +49,6 @@ struct Options {
     /// histories are regenerated every run and no disk is touched.
     std::string dataset_dir;
 
-    /// XRPL_PATH_INDEX — answer path-finder neighbor queries through
-    /// the currency-partitioned CSR GraphIndex (1, the default) or the
-    /// legacy per-visit lines_of() scan (0). Paths and ReplayStats are
-    /// byte-identical either way; only speed differs.
-    bool path_index = true;
-
     /// Parse the environment now (strict; malformed values warn and
     /// fall back). Pure read — no caching.
     [[nodiscard]] static Options from_env();

@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-// The record-span overload is deprecated (thin shim over the columnar
-// scan) but still part of the API surface; this file keeps it covered.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 namespace xrpl::analytics {
 namespace {
 
@@ -26,7 +22,9 @@ TEST(NetworkStatsTest, CountsAccountsLinesAndActivity) {
     records[0].sender = a;
     records[0].destination = b;
 
-    const NetworkStats stats = compute_network_stats(state, records);
+    const ledger::PaymentColumns payments =
+        ledger::PaymentColumns::from_records(records);
+    const NetworkStats stats = compute_network_stats(state, payments.view());
     EXPECT_EQ(stats.accounts, 3u);
     EXPECT_EQ(stats.trust_lines, 2u);
     EXPECT_EQ(stats.active_senders, 1u);
@@ -39,8 +37,8 @@ TEST(NetworkStatsTest, CountsAccountsLinesAndActivity) {
 
 TEST(NetworkStatsTest, EmptyWorld) {
     ledger::LedgerState state;
-    const NetworkStats stats =
-        compute_network_stats(state, std::vector<ledger::TxRecord>{});
+    const ledger::PaymentColumns payments;
+    const NetworkStats stats = compute_network_stats(state, payments.view());
     EXPECT_EQ(stats.accounts, 0u);
     EXPECT_DOUBLE_EQ(stats.mean_degree, 0.0);
 }

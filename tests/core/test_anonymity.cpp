@@ -27,13 +27,18 @@ TxRecord record(const std::string& sender, const std::string& destination,
     return r;
 }
 
+AnonymityProfile analyze(const std::vector<TxRecord>& records,
+                         const ResolutionConfig& config) {
+    return analyze_anonymity(ledger::PaymentColumns::from_records(records).view(),
+                             config);
+}
+
 TEST(AnonymityTest, SingletonBucketsAreSetSizeOne) {
     const std::vector<TxRecord> records = {
         record("a", "x", 100.0, 1),
         record("b", "y", 200.0, 2),
     };
-    const AnonymityProfile profile =
-        analyze_anonymity(records, full_resolution());
+    const AnonymityProfile profile = analyze(records, full_resolution());
     EXPECT_EQ(profile.total_payments(), 2u);
     EXPECT_DOUBLE_EQ(profile.identifiable_within(1), 1.0);
     EXPECT_DOUBLE_EQ(profile.mean_set_size(), 1.0);
@@ -47,8 +52,7 @@ TEST(AnonymityTest, CollidingSendersGrowTheSet) {
         record("c", "shop", 100.0, 1),
         record("d", "other", 555.0, 9),
     };
-    const AnonymityProfile profile =
-        analyze_anonymity(records, full_resolution());
+    const AnonymityProfile profile = analyze(records, full_resolution());
     EXPECT_EQ(profile.total_payments(), 4u);
     EXPECT_DOUBLE_EQ(profile.identifiable_within(1), 0.25);
     EXPECT_DOUBLE_EQ(profile.identifiable_within(3), 1.0);
@@ -61,8 +65,7 @@ TEST(AnonymityTest, RepeatSameSenderStaysSetSizeOne) {
         record("a", "shop", 100.0, 1),
         record("a", "shop", 100.0, 1),
     };
-    const AnonymityProfile profile =
-        analyze_anonymity(records, full_resolution());
+    const AnonymityProfile profile = analyze(records, full_resolution());
     EXPECT_DOUBLE_EQ(profile.identifiable_within(1), 1.0);
 }
 
@@ -75,9 +78,11 @@ TEST(AnonymityTest, IdentifiableWithinOneEqualsInformationGain) {
                                  100.0 * static_cast<double>(rng.uniform_u64(1, 5)),
                                  static_cast<std::int64_t>(rng.uniform_u64(0, 500))));
     }
-    const Deanonymizer deanonymizer(records);
+    const ledger::PaymentColumns payments =
+        ledger::PaymentColumns::from_records(records);
+    const Deanonymizer deanonymizer(payments);
     for (const ResolutionConfig& config : fig3_configurations()) {
-        const AnonymityProfile profile = analyze_anonymity(records, config);
+        const AnonymityProfile profile = analyze_anonymity(payments.view(), config);
         const IgResult ig = deanonymizer.information_gain(config);
         EXPECT_NEAR(profile.identifiable_within(1), ig.information_gain(), 1e-12)
             << config.label();
@@ -93,19 +98,18 @@ TEST(AnonymityTest, CoarseningGrowsAnonymitySets) {
                                  rng.lognormal(3.0, 2.0),
                                  static_cast<std::int64_t>(rng.uniform_u64(0, 50'000))));
     }
-    const AnonymityProfile fine = analyze_anonymity(records, full_resolution());
+    const AnonymityProfile fine = analyze(records, full_resolution());
     ResolutionConfig coarse;
     coarse.amount = AmountResolution::kLow;
     coarse.time = util::TimeResolution::kDays;
-    const AnonymityProfile blurred = analyze_anonymity(records, coarse);
+    const AnonymityProfile blurred = analyze(records, coarse);
     EXPECT_GE(blurred.mean_set_size(), fine.mean_set_size());
     EXPECT_LE(blurred.identifiable_within(1), fine.identifiable_within(1));
     EXPECT_LE(blurred.identifiable_within(5), fine.identifiable_within(5) + 1e-12);
 }
 
 TEST(AnonymityTest, EmptyHistoryIsSafe) {
-    const AnonymityProfile profile =
-        analyze_anonymity(std::vector<TxRecord>{}, full_resolution());
+    const AnonymityProfile profile = analyze({}, full_resolution());
     EXPECT_EQ(profile.total_payments(), 0u);
     EXPECT_DOUBLE_EQ(profile.identifiable_within(1), 0.0);
     EXPECT_DOUBLE_EQ(profile.mean_set_size(), 0.0);

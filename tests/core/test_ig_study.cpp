@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
+#include "datagen/history.hpp"
+#include "ledger/payment_columns.hpp"
 #include "util/rng.hpp"
 
 namespace xrpl::core {
@@ -41,9 +44,9 @@ TEST(IgStudyTest, PaperReferencesMatchQuotedValues) {
 /// A small synthetic history with the qualitative structure of the
 /// real one: ledger closes every ~5 s, a few payments per close,
 /// habitual small payments plus a heavy tail.
-std::vector<TxRecord> synthetic_history(std::size_t n, std::uint64_t seed) {
+ledger::PaymentColumns synthetic_history(std::size_t n, std::uint64_t seed) {
     util::Rng rng(seed);
-    std::vector<TxRecord> records;
+    ledger::PaymentColumns records;
     records.reserve(n);
     std::int64_t now = 0;
     while (records.size() < n) {
@@ -117,6 +120,38 @@ TEST(IgStudyTest, RowsCarryPaperReferences) {
     EXPECT_TRUE(rows[0].paper_value_exact);
     EXPECT_NEAR(*rows[0].paper_value, 0.9983, 1e-12);
     EXPECT_FALSE(rows[4].paper_value_exact);
+}
+
+TEST(IgStudyTest, GoldenFig3TableIsPinned) {
+    // The Fig 3 table on the history ShardedDeterminismTest pins
+    // (fingerprint 4d926cb6…), as (total, uniquely identified) per
+    // configuration. Pinned when the retired row backend and the
+    // column scans still produced it independently; the brute-force
+    // oracle (test_deanon_oracle.cpp) certifies the definition.
+    datagen::GeneratorConfig config;
+    config.seed = 20170605;
+    config.num_users = 400;
+    config.num_gateways = 12;
+    config.num_market_makers = 20;
+    config.num_merchants = 60;
+    config.num_hubs = 6;
+    config.target_payments = 6'000;
+    config.payments_per_slice = 1'500;
+    const datagen::GeneratedHistory history = datagen::generate_history(config);
+    ASSERT_EQ(ledger::columns_fingerprint(history.payments).substr(0, 8), "4d926cb6");
+
+    const std::pair<std::uint64_t, std::uint64_t> expected[] = {
+        {6001, 5885}, {6001, 5885}, {6001, 5372}, {6001, 5340}, {6001, 5320},
+        {6001, 2840}, {6001, 1190}, {6001, 2693}, {6001, 1228}, {6001, 779},
+    };
+    const auto rows = run_ig_study(history.payments);
+    ASSERT_EQ(rows.size(), std::size(expected));
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_EQ(rows[i].result.total_payments, expected[i].first)
+            << rows[i].config.label();
+        EXPECT_EQ(rows[i].result.uniquely_identified, expected[i].second)
+            << rows[i].config.label();
+    }
 }
 
 }  // namespace

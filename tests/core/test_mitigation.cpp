@@ -5,6 +5,8 @@
 #include <string>
 #include <unordered_set>
 
+#include "datagen/history.hpp"
+#include "ledger/payment_columns.hpp"
 #include "util/rng.hpp"
 
 namespace xrpl::core {
@@ -15,11 +17,11 @@ using ledger::Currency;
 using ledger::IouAmount;
 using ledger::TxRecord;
 
-std::vector<TxRecord> habitual_history() {
+ledger::PaymentColumns habitual_history() {
     // Two users, each repeatedly paying the same shop the same amount
     // on DIFFERENT days: unique-sender at day resolution because each
     // (amount, day, shop) cell holds one sender.
-    std::vector<TxRecord> records;
+    ledger::PaymentColumns records;
     for (int day = 0; day < 12; ++day) {
         TxRecord a;
         a.sender = AccountID::from_seed("alice");
@@ -42,12 +44,12 @@ TEST(MitigationTest, RotationSpreadsPaymentsAcrossWallets) {
     const auto records = habitual_history();
     WalletRotationConfig config;
     config.wallets_per_sender = 4;
-    const RotatedHistory rotated =
+    const RotatedColumns rotated =
         apply_wallet_rotation(records, config, three_lines);
 
-    ASSERT_EQ(rotated.records.size(), records.size());
+    ASSERT_EQ(rotated.payments.size(), records.size());
     std::unordered_set<AccountID> wallets;
-    for (const TxRecord& record : rotated.records) {
+    for (const TxRecord& record : rotated.payments.view()) {
         wallets.insert(record.sender);
         // Wallets are fresh accounts, not the owners.
         EXPECT_NE(record.sender, AccountID::from_seed("alice"));
@@ -56,9 +58,11 @@ TEST(MitigationTest, RotationSpreadsPaymentsAcrossWallets) {
     EXPECT_EQ(wallets.size(), 8u);  // 2 owners x 4 wallets
     // Only the sender changes.
     for (std::size_t i = 0; i < records.size(); ++i) {
-        EXPECT_EQ(rotated.records[i].destination, records[i].destination);
-        EXPECT_EQ(rotated.records[i].amount, records[i].amount);
-        EXPECT_EQ(rotated.records[i].time.seconds, records[i].time.seconds);
+        const TxRecord before = records.row(i);
+        const TxRecord after = rotated.payments.row(i);
+        EXPECT_EQ(after.destination, before.destination);
+        EXPECT_EQ(after.amount, before.amount);
+        EXPECT_EQ(after.time.seconds, before.time.seconds);
     }
 }
 
@@ -66,9 +70,9 @@ TEST(MitigationTest, WalletOwnerMapIsComplete) {
     const auto records = habitual_history();
     WalletRotationConfig config;
     config.wallets_per_sender = 3;
-    const RotatedHistory rotated =
+    const RotatedColumns rotated =
         apply_wallet_rotation(records, config, three_lines);
-    for (const TxRecord& record : rotated.records) {
+    for (const TxRecord& record : rotated.payments.view()) {
         const auto it = rotated.wallet_owner.find(record.sender);
         ASSERT_NE(it, rotated.wallet_owner.end());
         EXPECT_TRUE(it->second == AccountID::from_seed("alice") ||
@@ -82,7 +86,7 @@ TEST(MitigationTest, BootstrapCostScalesWithWalletsAndLines) {
     config.wallets_per_sender = 5;
     config.xrp_reserve_per_wallet = 20.0;
     config.xrp_reserve_per_trustline = 5.0;
-    const RotatedHistory rotated =
+    const RotatedColumns rotated =
         apply_wallet_rotation(records, config, three_lines);
     EXPECT_EQ(rotated.wallets_created, 10u);       // 2 owners x 5
     EXPECT_EQ(rotated.trustlines_created, 30u);    // x 3 lines each
@@ -96,7 +100,7 @@ TEST(MitigationTest, RotationDefeatsTheNaiveAttack) {
     // remains. The defence shows up only when wallets COLLIDE across
     // owners: force it by making both users' payments identical in
     // features (same second, same amount, same shop).
-    std::vector<TxRecord> records;
+    ledger::PaymentColumns records;
     for (int i = 0; i < 8; ++i) {
         TxRecord a;
         a.sender = AccountID::from_seed("alice");
@@ -116,14 +120,14 @@ TEST(MitigationTest, RotationDefeatsTheNaiveAttack) {
     // payments, exactly the paper's skepticism.
     WalletRotationConfig config;
     config.wallets_per_sender = 8;
-    const RotatedHistory rotated =
+    const RotatedColumns rotated =
         apply_wallet_rotation(records, config, three_lines);
-    const Deanonymizer after(rotated.records);
+    const Deanonymizer after(rotated.payments);
     EXPECT_DOUBLE_EQ(
         after.information_gain(full_resolution()).information_gain(), 1.0);
     // What rotation DOES break is history linkage: the "financial
     // life" of any single wallet is a fraction of the real history.
-    const auto life = after.history_of(rotated.records.front().sender);
+    const auto life = after.history_of(rotated.payments.row(0).sender);
     EXPECT_EQ(life.size(), 1u);
 }
 
@@ -151,7 +155,7 @@ TEST(MitigationTest, LinkedIgNeverBelowRotatedIg) {
     // Linking merges wallets into clusters: buckets that were
     // multi-wallet-but-one-owner become identified.
     util::Rng rng(5);
-    std::vector<TxRecord> records;
+    ledger::PaymentColumns records;
     for (int i = 0; i < 2'000; ++i) {
         TxRecord r;
         r.sender = AccountID::from_seed(
@@ -182,11 +186,41 @@ TEST(MitigationTest, ZeroWalletConfigBehavesAsOne) {
     const auto records = habitual_history();
     WalletRotationConfig config;
     config.wallets_per_sender = 0;
-    const RotatedHistory rotated =
+    const RotatedColumns rotated =
         apply_wallet_rotation(records, config, three_lines);
     std::unordered_set<AccountID> wallets;
-    for (const TxRecord& r : rotated.records) wallets.insert(r.sender);
+    for (const TxRecord& r : rotated.payments.view()) wallets.insert(r.sender);
     EXPECT_EQ(wallets.size(), 2u);  // one wallet per owner
+}
+
+TEST(MitigationTest, GoldenRotationCountsArePinned) {
+    // evaluate_wallet_rotation on the history ShardedDeterminismTest
+    // pins (fingerprint 4d926cb6…), three wallets per sender, each
+    // re-creating its owner's trust lines. Pinned when the retired row
+    // backend and the column path still produced it independently.
+    datagen::GeneratorConfig gen;
+    gen.seed = 20170605;
+    gen.num_users = 400;
+    gen.num_gateways = 12;
+    gen.num_market_makers = 20;
+    gen.num_merchants = 60;
+    gen.num_hubs = 6;
+    gen.target_payments = 6'000;
+    gen.payments_per_slice = 1'500;
+    const datagen::GeneratedHistory history = datagen::generate_history(gen);
+    ASSERT_EQ(ledger::columns_fingerprint(history.payments).substr(0, 8), "4d926cb6");
+
+    WalletRotationConfig config;
+    config.wallets_per_sender = 3;
+    const MitigationReport report = evaluate_wallet_rotation(
+        history.payments, full_resolution(), config,
+        [&](const AccountID& owner) { return history.ledger.lines_of(owner).size(); });
+    EXPECT_EQ(report.baseline.total_payments, 6001u);
+    EXPECT_EQ(report.baseline.uniquely_identified, 5885u);
+    EXPECT_EQ(report.rotated.uniquely_identified, 5865u);
+    EXPECT_EQ(report.linked.uniquely_identified, 5885u);
+    EXPECT_EQ(report.wallets_created, 1290u);
+    EXPECT_EQ(report.trustlines_created, 23886u);
 }
 
 }  // namespace

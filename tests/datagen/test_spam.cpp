@@ -83,7 +83,9 @@ TEST_F(SpamTest, BreakdownSumsToTotal) {
     mtl.amount = ledger::IouAmount::from_double(2e9);
     records.push_back(mtl);
 
-    const SpamBreakdown breakdown = spam_breakdown(records, pop_);
+    const ledger::PaymentColumns payments =
+        ledger::PaymentColumns::from_records(records);
+    const SpamBreakdown breakdown = spam_breakdown(payments.view(), pop_);
     EXPECT_EQ(breakdown.total(), records.size());
     EXPECT_EQ(breakdown.organic, 10u);
     EXPECT_EQ(breakdown.gambling, 1u);

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string_view>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -86,12 +87,11 @@ TEST_F(DeterminismTest, AttackIndexIdenticalAcrossThreadCounts) {
         return core::AttackIndex(history_->payments.view(), config);
     });
     EXPECT_EQ(serial.bucket_count(), wide.bucket_count());
-    const std::vector<ledger::TxRecord> records = history_->to_records();
-    for (std::size_t i = 0; i < records.size(); i += 331) {
+    for (std::size_t i = 0; i < history_->payments.size(); i += 331) {
         // matches() returns row indices in bucket order — any merge
         // reordering would show up here, not just a count drift.
-        EXPECT_EQ(serial.matches(records[i]), wide.matches(records[i]))
-            << "row " << i;
+        const ledger::TxRecord row = history_->payments.row(i);
+        EXPECT_EQ(serial.matches(row), wide.matches(row)) << "row " << i;
     }
 }
 
@@ -173,19 +173,20 @@ TEST_F(DeterminismTest, AmountScanMatchesStreamedSamples) {
     }
 }
 
-TEST_F(DeterminismTest, NetworkScanMatchesRowOverload) {
-    const std::vector<ledger::TxRecord> records = history_->to_records();
-    // Deliberately exercising the deprecated shim: it must keep
-    // matching the columnar scan it forwards to.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    const analytics::NetworkStats rows =
-        analytics::compute_network_stats(history_->ledger, records);
-#pragma GCC diagnostic pop
+TEST_F(DeterminismTest, NetworkScanMatchesRowByRowCount) {
+    // The chunk-merged sorted-id activity scan against a plain
+    // row-by-row count of distinct accounts.
+    std::unordered_set<ledger::AccountID> senders;
+    std::unordered_set<ledger::AccountID> participants;
+    for (const ledger::TxRecord& row : history_->payments.view()) {
+        senders.insert(row.sender);
+        participants.insert(row.sender);
+        participants.insert(row.destination);
+    }
     const analytics::NetworkStats cols = analytics::compute_network_stats(
         history_->ledger, history_->payments.view());
-    EXPECT_EQ(rows.active_senders, cols.active_senders);
-    EXPECT_EQ(rows.active_participants, cols.active_participants);
+    EXPECT_EQ(cols.active_senders, senders.size());
+    EXPECT_EQ(cols.active_participants, participants.size());
 }
 
 TEST_F(DeterminismTest, PathScanMatchesHistogramBuild) {

@@ -172,7 +172,9 @@ TEST_F(FullSystemTest, AttackOverNodeSealedHistory) {
         records.push_back(record);
     }
 
-    const core::Deanonymizer deanonymizer(records);
+    const ledger::PaymentColumns payments =
+        ledger::PaymentColumns::from_records(records);
+    const core::Deanonymizer deanonymizer(payments);
     // Alice saw user 5 pay ~155 USD: the amount alone (rounded to the
     // nearest ten) plus the shop pins the sender.
     ledger::TxRecord observation = records[4];

@@ -1,25 +1,33 @@
-// Engine parity: the CSR GraphIndex engine and the legacy lines_of()
-// scan must be indistinguishable in OUTPUT — identical paths (ties
-// included), identical ReplayStats on the Table II workload, and the
-// same paths.nodes_expanded totals — on a generated history big
-// enough to exercise gateways, hubs, makers, and spam chains. The
-// golden test additionally pins the Table II numbers at a fixed
-// seed/config so a behaviour change in either engine (or in the
-// generator) shows up as a concrete diff, not a silent drift.
+// Table II replay goldens: the path engine's observable behaviour on a
+// generated history big enough to exercise gateways, hubs, makers and
+// spam chains, pinned at a fixed seed/config so any change to the
+// generator, the finders, the CSR index or the replay harness shows up
+// as a concrete diff instead of a silent drift:
+//  * the Table II ReplayStats with and without Market Makers;
+//  * the paths.nodes_expanded totals of both replays, each reproduced
+//    by a second, independent engine (same searches, same frontiers —
+//    not just the same end results);
+//  * a digest of the exact paths both finders return on a sample of
+//    (user, merchant) pairs, tie-breaks included.
+// Correctness of the finders themselves is checked against brute
+// force in tests/paths/test_path_oracle.cpp; these pins guard that the
+// behaviour they certify does not move.
 //
 // Runs in tier-1 at XRPL_THREADS=1 and 8 (tools/tier1.sh): nothing
 // here may depend on pool width.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "datagen/history.hpp"
 #include "obs/metrics.hpp"
-#include "paths/graph_index.hpp"
 #include "paths/replay.hpp"
 #include "paths/widest_path.hpp"
 #include "util/rng.hpp"
+#include "util/sha256.hpp"
 
 namespace xrpl {
 namespace {
@@ -65,16 +73,14 @@ protected:
         ReplayStats stats;
         std::uint64_t nodes_expanded = 0;
     };
-    static MeasuredReplay run_replay(bool use_index, bool remove_makers) {
+    static MeasuredReplay run_replay(bool remove_makers) {
         const bool was_enabled = obs::enabled();
         obs::set_enabled(true);
         obs::Counter& expanded = obs::counter("paths.nodes_expanded");
         const std::uint64_t before = expanded.value();
 
         ledger::LedgerState world = history_->ledger.clone();
-        paths::EngineConfig config;
-        config.use_path_index = use_index;
-        PaymentEngine engine(world, config);
+        PaymentEngine engine(world);
         MeasuredReplay result;
         if (remove_makers) {
             result.stats = paths::replay_without(
@@ -101,18 +107,31 @@ protected:
 datagen::GeneratedHistory* ReplayParityTest::history_ = nullptr;
 std::vector<paths::PaymentRequest>* ReplayParityTest::workload_ = nullptr;
 
-TEST_F(ReplayParityTest, PathFindersAgreeOnSampledPairs) {
-    // Both BFS engines, every (user, merchant) pairing sampled across
-    // the population, in the merchant's home currency: identical paths
-    // node for node — tie-breaking included — or identical absence.
-    const datagen::Population& pop = history_->population;
-    const paths::TrustGraph indexed(history_->ledger, /*use_index=*/true);
-    const paths::TrustGraph scan(history_->ledger, /*use_index=*/false);
-    paths::PathFinder find_indexed;
-    paths::PathFinder find_scan;
-    paths::WidestPathFinder widest_indexed;
-    paths::WidestPathFinder widest_scan;
+void append_path(std::string& out, const std::optional<paths::TrustPath>& path) {
+    if (!path) {
+        out += "none\n";
+        return;
+    }
+    for (const ledger::AccountID& node : path->nodes) {
+        out += node.to_address();
+        out += ' ';
+    }
+    out += std::to_string(path->capacity.mantissa()) + 'e' +
+           std::to_string(path->capacity.exponent()) + '\n';
+}
 
+TEST_F(ReplayParityTest, SampledPathsMatchPinnedDigest) {
+    // Every (user, merchant) pairing sampled across the population, in
+    // the merchant's home currency: the shortest and the widest path,
+    // node for node with their capacities, hashed. Pinned when the CSR
+    // engine and the retired lines_of() scan engine still agreed on
+    // every one of these paths.
+    const datagen::Population& pop = history_->population;
+    const paths::TrustGraph graph(history_->ledger);
+    paths::PathFinder shortest;
+    paths::WidestPathFinder widest;
+
+    std::string transcript;
     std::size_t compared = 0;
     std::size_t found = 0;
     for (std::size_t u = 0; u < pop.users.size(); u += 17) {
@@ -120,58 +139,48 @@ TEST_F(ReplayParityTest, PathFindersAgreeOnSampledPairs) {
             const ledger::AccountID& from = pop.users[u];
             const ledger::AccountID& to = pop.merchants[m];
             const ledger::Currency currency = pop.merchant_profiles[m].home;
-            const auto a = find_indexed.find(indexed, from, to, currency);
-            const auto b = find_scan.find(scan, from, to, currency);
-            ASSERT_EQ(a.has_value(), b.has_value()) << "pair " << u << "," << m;
-            const auto wa = widest_indexed.find(indexed, from, to, currency);
-            const auto wb = widest_scan.find(scan, from, to, currency);
-            ASSERT_EQ(wa.has_value(), wb.has_value()) << "pair " << u << "," << m;
+            const auto path = shortest.find(graph, from, to, currency);
+            const auto wide = widest.find(graph, from, to, currency);
+            append_path(transcript, path);
+            append_path(transcript, wide);
             ++compared;
-            if (a) {
-                EXPECT_EQ(a->nodes, b->nodes);
-                EXPECT_EQ(a->capacity.to_double(), b->capacity.to_double());
-                ++found;
-            }
-            if (wa) {
-                EXPECT_EQ(wa->nodes, wb->nodes);
-                EXPECT_EQ(wa->capacity.to_double(), wb->capacity.to_double());
-            }
+            if (path) ++found;
         }
     }
     // The sample must actually exercise both outcomes.
     EXPECT_GT(found, 0u);
     EXPECT_GT(compared, found);
+    EXPECT_EQ(util::to_hex(util::sha256(transcript)), "b4de1b696ba038f1d1140081d409b9abcc1e69337bc8f018c0125d8089d957b6");
 }
 
 TEST_F(ReplayParityTest, FullReplayStatsIdenticalAcrossEngines) {
-    const MeasuredReplay indexed = run_replay(/*use_index=*/true, false);
-    const MeasuredReplay scan = run_replay(/*use_index=*/false, false);
-    expect_equal(indexed.stats, scan.stats);
-    // The workload is delivered-filtered: the baseline replays clean.
-    EXPECT_EQ(indexed.stats.delivered(), indexed.stats.submitted());
-    // Same searches, same frontiers: the visit totals must match too,
-    // not just the end results.
-    EXPECT_EQ(indexed.nodes_expanded, scan.nodes_expanded);
-    EXPECT_GT(indexed.nodes_expanded, 0u);
+    // Two independent PaymentEngines, each over its own ledger clone,
+    // replay the full workload: same ReplayStats, same searches, same
+    // frontiers. The BFS visit total is pinned at the value the CSR
+    // and the retired lines_of() scan engine both produced.
+    const MeasuredReplay first = run_replay(false);
+    const MeasuredReplay second = run_replay(false);
+    expect_equal(first.stats, second.stats);
+    EXPECT_EQ(first.nodes_expanded, second.nodes_expanded);
+    EXPECT_EQ(first.nodes_expanded, 28064u);
 }
 
 TEST_F(ReplayParityTest, MakerFreeReplayStatsIdenticalAcrossEngines) {
-    const MeasuredReplay indexed = run_replay(/*use_index=*/true, true);
-    const MeasuredReplay scan = run_replay(/*use_index=*/false, true);
-    expect_equal(indexed.stats, scan.stats);
-    EXPECT_EQ(indexed.nodes_expanded, scan.nodes_expanded);
-    // Removing every maker and offer must cost deliveries (Table II's
-    // whole point); equality here would mean the removal did nothing.
-    EXPECT_LT(indexed.stats.delivered(), indexed.stats.submitted());
+    // The same for the Market-Maker-removal replay (Table II's right
+    // column), where the exclusion set prunes every search.
+    const MeasuredReplay first = run_replay(true);
+    const MeasuredReplay second = run_replay(true);
+    expect_equal(first.stats, second.stats);
+    EXPECT_EQ(first.nodes_expanded, second.nodes_expanded);
+    EXPECT_EQ(first.nodes_expanded, 3796u);
 }
 
 TEST_F(ReplayParityTest, GoldenTableTwoStats) {
     // Pinned Table II numbers for parity_config() + the fixed replay
     // stream: any change to the generator, the engine, the finder, or
     // the replay harness that moves these is a REAL behaviour change
-    // and must be deliberate. (Values measured once at pin time; both
-    // engines produce them — the parity tests above guarantee that.)
-    const MeasuredReplay baseline = run_replay(/*use_index=*/true, false);
+    // and must be deliberate.
+    const MeasuredReplay baseline = run_replay(false);
     EXPECT_EQ(baseline.stats.cross_submitted, 1030u);
     EXPECT_EQ(baseline.stats.cross_delivered, 1030u);
     EXPECT_EQ(baseline.stats.single_submitted, 470u);
@@ -180,7 +189,7 @@ TEST_F(ReplayParityTest, GoldenTableTwoStats) {
     // Table II's shape at test scale: cross-currency collapses to zero
     // without makers; single-currency survives partially (the paper:
     // 36.10%, here 377/470 — the synthetic graph is denser).
-    const MeasuredReplay removed = run_replay(/*use_index=*/true, true);
+    const MeasuredReplay removed = run_replay(true);
     EXPECT_EQ(removed.stats.cross_submitted, 1030u);
     EXPECT_EQ(removed.stats.cross_delivered, 0u);
     EXPECT_EQ(removed.stats.single_submitted, 470u);

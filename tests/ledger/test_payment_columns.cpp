@@ -78,14 +78,13 @@ TEST(PaymentColumnsTest, ToRecordsAndFromRecordsRoundTrip) {
     const PaymentColumns columns = PaymentColumns::from_records(records);
     ASSERT_EQ(columns.size(), records.size());
 
-    const std::vector<TxRecord> back = columns.to_records();
-    ASSERT_EQ(back.size(), records.size());
     for (std::size_t i = 0; i < records.size(); ++i) {
-        EXPECT_EQ(back[i].sender, records[i].sender);
-        EXPECT_EQ(back[i].destination, records[i].destination);
-        EXPECT_EQ(back[i].currency, records[i].currency);
-        EXPECT_EQ(back[i].amount, records[i].amount);
-        EXPECT_EQ(back[i].time.seconds, records[i].time.seconds);
+        const TxRecord back = columns.row(i);
+        EXPECT_EQ(back.sender, records[i].sender);
+        EXPECT_EQ(back.destination, records[i].destination);
+        EXPECT_EQ(back.currency, records[i].currency);
+        EXPECT_EQ(back.amount, records[i].amount);
+        EXPECT_EQ(back.time.seconds, records[i].time.seconds);
     }
 }
 

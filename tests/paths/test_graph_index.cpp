@@ -115,8 +115,8 @@ TEST_F(GraphIndexTest, DirectionBitMatchesCapacityFrom) {
 
 TEST_F(GraphIndexTest, PerNodeOrderMatchesLinesOfScan) {
     // A hub with several USD lines plus EUR noise interleaved: the CSR
-    // span must list USD peers in exactly the order the legacy scan
-    // (lines_of insertion order, currency-filtered) enumerates them.
+    // span must list USD peers in exactly lines_of() insertion order,
+    // currency-filtered — the searches' tie-break order.
     const AccountID hub = add("hub");
     std::vector<AccountID> peers;
     for (int i = 0; i < 6; ++i) {
@@ -125,12 +125,12 @@ TEST_F(GraphIndexTest, PerNodeOrderMatchesLinesOfScan) {
         if (i % 2 == 0) edge(peers.back(), hub, kEur, 5.0);
     }
 
-    const TrustGraph graph(state_, /*use_index=*/false);
     std::vector<std::uint32_t> scan_order;
-    graph.for_each_neighbor(hub, kUsd,
-                            [&](const AccountID& peer, const ledger::TrustLine*) {
-                                scan_order.push_back(index_of(peer));
-                            });
+    for (const ledger::TrustLine* line : state_.lines_of(hub)) {
+        if (line->key().currency == kUsd) {
+            scan_order.push_back(index_of(line->peer_of(hub)));
+        }
+    }
 
     GraphIndex index;
     index.build(state_);
@@ -217,7 +217,7 @@ TEST_F(GraphIndexTest, CloneRebuildsItsOwnIndex) {
     const LedgerState copy = state_.clone();
     EXPECT_EQ(copy.topology_generation(), state_.topology_generation());
 
-    const TrustGraph graph(copy, /*use_index=*/true);
+    const TrustGraph graph(copy);
     const GraphIndex& index = graph.index();
     EXPECT_TRUE(index.built());
     EXPECT_EQ(index.edge_count(), 2u);
@@ -227,7 +227,7 @@ TEST_F(GraphIndexTest, ExclusionStampsAreEpochScoped) {
     const AccountID a = add("a");
     const AccountID b = add("b");
     edge(a, b, kUsd, 10.0);
-    TrustGraph graph(state_, /*use_index=*/true);
+    TrustGraph graph(state_);
     EXPECT_FALSE(graph.is_excluded_index(index_of(b)));
     graph.exclude(b);
     EXPECT_TRUE(graph.is_excluded_index(index_of(b)));

@@ -23,7 +23,6 @@ const char* const kAllVars[] = {
     "XRPL_BENCH_DATAGEN_PAYMENTS",
     "XRPL_BENCH_JSON_DIR",
     "XRPL_DATASET_DIR",
-    "XRPL_PATH_INDEX",
 };
 
 /// Every test starts and ends with a clean environment (the suite may
@@ -60,7 +59,6 @@ TEST_F(OptionsTest, DefaultsWithCleanEnvironment) {
     EXPECT_EQ(opts.bench_datagen_payments, 100'000u);
     EXPECT_EQ(opts.bench_json_dir, ".");
     EXPECT_EQ(opts.dataset_dir, "");  // caching off by default
-    EXPECT_TRUE(opts.path_index);     // CSR index engine is the default
 }
 
 TEST_F(OptionsTest, ParsesEveryKnob) {
@@ -73,7 +71,6 @@ TEST_F(OptionsTest, ParsesEveryKnob) {
     ::setenv("XRPL_BENCH_DATAGEN_PAYMENTS", "4321", 1);
     ::setenv("XRPL_BENCH_JSON_DIR", "/tmp/reports", 1);
     ::setenv("XRPL_DATASET_DIR", "/tmp/datasets", 1);
-    ::setenv("XRPL_PATH_INDEX", "0", 1);
     const Options opts = Options::from_env();
     EXPECT_EQ(opts.threads, 3u);
     EXPECT_TRUE(opts.obs);
@@ -85,7 +82,6 @@ TEST_F(OptionsTest, ParsesEveryKnob) {
     EXPECT_EQ(opts.bench_datagen_payments, 4321u);
     EXPECT_EQ(opts.bench_json_dir, "/tmp/reports");
     EXPECT_EQ(opts.dataset_dir, "/tmp/datasets");
-    EXPECT_FALSE(opts.path_index);
 }
 
 TEST_F(OptionsTest, ObsExplicitDistinguishesZeroFromAbsent) {

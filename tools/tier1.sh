@@ -13,9 +13,9 @@ cd build && ctest --output-on-failure -j
 # one process (ScopedParallelism); re-running them under explicit
 # XRPL_THREADS pins also covers the env-driven shared-pool setup the
 # benches use. Widths 1 and 8 bracket serial and oversubscribed.
-# ReplayParityTest rides along: indexed-vs-scan path-engine parity
-# (paths, ReplayStats, nodes_expanded, golden Table II) must hold at
-# every pool width too.
+# ReplayParityTest rides along: the path-engine goldens (Table II
+# ReplayStats, nodes_expanded totals, sampled-path digest) must hold
+# at every pool width too.
 for width in 1 8; do
   echo "--- determinism + replay parity at XRPL_THREADS=${width} ---"
   XRPL_THREADS="${width}" ./tests/xrpl_tests \
