@@ -6,6 +6,7 @@
 
 #include <vector>
 
+#include "bench/common.hpp"
 #include "consensus/period_config.hpp"
 #include "consensus/rpca.hpp"
 #include "core/deanonymizer.hpp"
@@ -14,6 +15,7 @@
 #include "ledger/amount.hpp"
 #include "ledger/payment_columns.hpp"
 #include "node/node.hpp"
+#include "paths/graph_index.hpp"
 #include "paths/path_finder.hpp"
 #include "paths/payment_engine.hpp"
 #include "paths/widest_path.hpp"
@@ -220,6 +222,24 @@ void BM_PathFinder_Widest(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_PathFinder_Widest);
+
+// A full GraphIndex build on the paper benches' population
+// (bench/common.hpp's default mix: 8,000 users, 50 currency
+// partitions). Every datagen slice and replay engine pays this once
+// per ledger clone, so it is built from a clone here too.
+void BM_GraphIndexBuild(benchmark::State& state) {
+    static const ledger::LedgerState ledger =
+        bench::dataset_population().ledger.clone();
+    paths::GraphIndex index;
+    for (auto _ : state) {
+        index.build(ledger);
+        benchmark::DoNotOptimize(index.edge_count());
+    }
+    state.counters["partitions"] =
+        static_cast<double>(index.partition_count());
+    state.counters["edges"] = static_cast<double>(index.edge_count());
+}
+BENCHMARK(BM_GraphIndexBuild)->Unit(benchmark::kMillisecond);
 
 // End-to-end node throughput: submit -> consensus -> sealed -> applied.
 void BM_NodeRound(benchmark::State& state) {

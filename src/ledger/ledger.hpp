@@ -88,7 +88,9 @@ public:
 
     /// Deep copy with a freshly rebuilt adjacency index. Replay
     /// experiments run against a clone so the original snapshot stays
-    /// pristine.
+    /// pristine. The copy's lines_of() order is the copied line map's
+    /// iteration order, not line creation order; a clone of a clone
+    /// keeps it.
     [[nodiscard]] LedgerState clone() const;
 
     // --- accounts ---------------------------------------------------

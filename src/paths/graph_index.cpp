@@ -12,20 +12,29 @@ void GraphIndex::build(const ledger::LedgerState& ledger) {
     const auto account_count =
         static_cast<std::uint32_t>(ledger.account_count());
 
-    // Pass 1 — discover the currency set. Iterating accounts in dense
-    // index order (not the unordered line map) keeps the build
-    // deterministic and gives each line exactly two visits, one per
-    // endpoint.
-    std::vector<ledger::Currency> currencies;
+    // Every pass walks accounts in dense index order (not the unordered
+    // line map), which keeps the build deterministic and gives each
+    // line exactly two visits, one per endpoint. lines_of() is a hash
+    // lookup, so it is done once per account here, not once per pass.
+    std::vector<const std::vector<ledger::TrustLine*>*> rows(account_count);
     for (std::uint32_t i = 0; i < account_count; ++i) {
-        for (const ledger::TrustLine* line :
-             ledger.lines_of(ledger.account_by_index(i))) {
-            currencies.push_back(line->key().currency);
+        rows[i] = &ledger.lines_of(ledger.account_by_index(i));
+    }
+
+    // Pass 1 — discover the currency set by sorted insert: a ledger has
+    // a few dozen currencies against ~10^5 line endpoints, so sorting
+    // every endpoint's currency would be wasted work.
+    std::vector<ledger::Currency> currencies;
+    for (const auto* row : rows) {
+        for (const ledger::TrustLine* line : *row) {
+            const ledger::Currency currency = line->key().currency;
+            const auto it = std::lower_bound(currencies.begin(),
+                                             currencies.end(), currency);
+            if (it == currencies.end() || !(*it == currency)) {
+                currencies.insert(it, currency);
+            }
         }
     }
-    std::sort(currencies.begin(), currencies.end());
-    currencies.erase(std::unique(currencies.begin(), currencies.end()),
-                     currencies.end());
 
     partitions_.clear();
     partitions_.resize(currencies.size());
@@ -33,17 +42,20 @@ void GraphIndex::build(const ledger::LedgerState& ledger) {
         partitions_[p].currency = currencies[p];
         partitions_[p].offsets.assign(account_count + 1, 0);
     }
-    const auto part_of = [&](ledger::Currency currency) -> Partition& {
-        const auto it = std::lower_bound(
-            currencies.begin(), currencies.end(), currency);
-        return partitions_[static_cast<std::size_t>(it - currencies.begin())];
-    };
 
-    // Pass 2 — per-partition degree counts into the offset slots.
+    // Pass 2 — per-partition degree counts into the offset slots. The
+    // partition of every line endpoint is kept, in visit order, so the
+    // fill below needs no second currency search.
+    std::vector<std::uint32_t> slot_of_edge;
+    slot_of_edge.reserve(2 * ledger.trustline_count());
     for (std::uint32_t i = 0; i < account_count; ++i) {
-        for (const ledger::TrustLine* line :
-             ledger.lines_of(ledger.account_by_index(i))) {
-            ++part_of(line->key().currency).offsets[i + 1];
+        for (const ledger::TrustLine* line : *rows[i]) {
+            const auto slot = static_cast<std::uint32_t>(
+                std::lower_bound(currencies.begin(), currencies.end(),
+                                 line->key().currency) -
+                currencies.begin());
+            slot_of_edge.push_back(slot);
+            ++partitions_[slot].offsets[i + 1];
         }
     }
     for (Partition& part : partitions_) {
@@ -53,30 +65,30 @@ void GraphIndex::build(const ledger::LedgerState& ledger) {
         part.edges.resize(part.offsets.back());
     }
 
-    // Pass 3 — fill. Per-node edge order within a partition preserves
-    // lines_of() insertion order, so searches break ties in ledger
-    // insertion order and the Table II goldens stay put.
-    std::vector<std::uint32_t> cursor;
-    for (Partition& part : partitions_) {
-        cursor.assign(part.offsets.begin(), part.offsets.end() - 1);
-        // Reuse: each partition fills from its own row pointers.
-        for (std::uint32_t i = 0; i < account_count; ++i) {
-            const ledger::AccountID& node = ledger.account_by_index(i);
-            for (const ledger::TrustLine* line : ledger.lines_of(node)) {
-                if (!(line->key().currency == part.currency)) continue;
-                const bool node_is_low = node == line->key().low;
-                const ledger::AccountID& peer_id =
-                    node_is_low ? line->key().high : line->key().low;
-                const ledger::AccountRoot* peer = ledger.account(peer_id);
-                XRPL_ASSERT(peer != nullptr,
-                            "trust lines must connect existing accounts");
-                // A self-loop would let the path finder "ripple" value
-                // without moving it.
-                XRPL_ASSERT(peer->index != i,
-                            "trust lines must connect two distinct accounts");
-                part.edges[cursor[i]++] =
-                    Edge{peer->index, line, node_is_low, peer->allows_rippling};
-            }
+    // Fill — one walk, one forward write cursor per partition. Rows are
+    // prefix sums and nodes are visited in index order, so node i's
+    // edges in partition p land exactly in [offsets[i], offsets[i+1]).
+    // Per-node edge order within a partition is lines_of() order, so
+    // searches break ties in adjacency order and the Table II goldens
+    // stay put.
+    std::vector<std::uint32_t> cursor(partitions_.size(), 0);
+    std::size_t visit = 0;
+    for (std::uint32_t i = 0; i < account_count; ++i) {
+        const ledger::AccountID& node = ledger.account_by_index(i);
+        for (const ledger::TrustLine* line : *rows[i]) {
+            const std::uint32_t slot = slot_of_edge[visit++];
+            const bool node_is_low = node == line->key().low;
+            const ledger::AccountID& peer_id =
+                node_is_low ? line->key().high : line->key().low;
+            const ledger::AccountRoot* peer = ledger.account(peer_id);
+            XRPL_ASSERT(peer != nullptr,
+                        "trust lines must connect existing accounts");
+            // A self-loop would let the path finder "ripple" value
+            // without moving it.
+            XRPL_ASSERT(peer->index != i,
+                        "trust lines must connect two distinct accounts");
+            partitions_[slot].edges[cursor[slot]++] =
+                Edge{peer->index, line, node_is_low, peer->allows_rippling};
         }
     }
 

@@ -8,7 +8,8 @@
 // TrustLine*, direction bit, cached rippling flag) keyed by the
 // ledger's dense account index, so the bidirectional-BFS inner loop is
 // a flat span walk over uint32 indices with zero hashing and zero
-// account() lookups.
+// account() lookups. A build costs O(accounts + trust lines): two
+// walks over lines_of() (currency set, degree counts) and one fill.
 //
 // Invalidation contract: CAPACITY is read live through the stored
 // TrustLine* at visit time, so balance/limit mutations by the payment
@@ -40,8 +41,12 @@ public:
     /// node i in this currency, and the DIRECTION decides which end's
     /// capacity to read — from node i: directed_capacity(node_is_low);
     /// towards node i: directed_capacity(!node_is_low). Per-node edge
-    /// order equals lines_of(account) insertion order (the searches'
-    /// tie-break order).
+    /// order equals lines_of(account) order, currency-filtered (the
+    /// searches' tie-break order). That is line creation order only on
+    /// the ledger that created the lines: clone() rebuilds adjacency in
+    /// the copied line map's iteration order, which differs for most
+    /// accounts, while a clone of a clone keeps the first clone's
+    /// order. Datagen slices and replay engines all build from clones.
     struct Partition {
         ledger::Currency currency;
         std::vector<std::uint32_t> offsets;  // account_count + 1 row pointers

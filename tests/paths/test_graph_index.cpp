@@ -1,14 +1,20 @@
 // GraphIndex — the currency-partitioned CSR adjacency: build shape,
-// lines_of() order parity, lazy generation-driven rebuild, and the
-// live-capacity contract (balance mutations never invalidate).
+// lines_of() order parity, lazy generation-driven rebuild, the
+// live-capacity contract (balance mutations never invalidate), and the
+// build checked against a naive per-currency reference on generated
+// and random ledgers and their clones.
 #include "paths/graph_index.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <string>
 #include <vector>
 
+#include "datagen/history.hpp"
 #include "paths/trust_graph.hpp"
+#include "util/rng.hpp"
 
 namespace xrpl::paths {
 namespace {
@@ -241,6 +247,209 @@ TEST_F(GraphIndexTest, ExclusionStampsAreEpochScoped) {
     // Out-of-range probes (accounts created after the last exclude)
     // are simply not excluded.
     EXPECT_FALSE(graph.is_excluded_index(9999u));
+}
+
+/// The naive build the CSR index must reproduce: for each currency,
+/// for each account in dense index order, filter lines_of().
+struct ReferencePartition {
+    Currency currency;
+    std::vector<std::uint32_t> offsets;
+    std::vector<GraphIndex::Edge> edges;
+};
+
+/// Every currency some trust line uses, sorted.
+std::vector<Currency> currencies_of(const LedgerState& ledger) {
+    std::vector<Currency> currencies;
+    for (std::uint32_t i = 0; i < ledger.account_count(); ++i) {
+        for (const ledger::TrustLine* line :
+             ledger.lines_of(ledger.account_by_index(i))) {
+            currencies.push_back(line->key().currency);
+        }
+    }
+    std::sort(currencies.begin(), currencies.end());
+    currencies.erase(std::unique(currencies.begin(), currencies.end()),
+                     currencies.end());
+    return currencies;
+}
+
+std::vector<ReferencePartition> reference_build(const LedgerState& ledger) {
+    const auto account_count =
+        static_cast<std::uint32_t>(ledger.account_count());
+    std::vector<ReferencePartition> out;
+    for (const Currency currency : currencies_of(ledger)) {
+        ReferencePartition part{currency, {0}, {}};
+        for (std::uint32_t i = 0; i < account_count; ++i) {
+            const AccountID& node = ledger.account_by_index(i);
+            for (const ledger::TrustLine* line : ledger.lines_of(node)) {
+                if (!(line->key().currency == currency)) continue;
+                const bool node_is_low = node == line->key().low;
+                const ledger::AccountRoot* peer = ledger.account(
+                    node_is_low ? line->key().high : line->key().low);
+                part.edges.push_back(GraphIndex::Edge{
+                    peer->index, line, node_is_low, peer->allows_rippling});
+            }
+            part.offsets.push_back(
+                static_cast<std::uint32_t>(part.edges.size()));
+        }
+        out.push_back(std::move(part));
+    }
+    return out;
+}
+
+/// Every partition's offsets and every Edge field, in order.
+void expect_matches_reference(const LedgerState& ledger) {
+    GraphIndex index;
+    index.build(ledger);
+    const std::vector<ReferencePartition> reference = reference_build(ledger);
+    ASSERT_EQ(index.partition_count(), reference.size());
+    std::size_t edges = 0;
+    for (const ReferencePartition& want : reference) {
+        SCOPED_TRACE("currency " + want.currency.to_string());
+        const GraphIndex::Partition* got = index.partition(want.currency);
+        ASSERT_NE(got, nullptr);
+        EXPECT_EQ(got->currency, want.currency);
+        EXPECT_EQ(got->offsets, want.offsets);
+        ASSERT_EQ(got->edges.size(), want.edges.size());
+        for (std::size_t k = 0; k < want.edges.size(); ++k) {
+            const GraphIndex::Edge& g = got->edges[k];
+            const GraphIndex::Edge& w = want.edges[k];
+            ASSERT_TRUE(g.peer == w.peer && g.line == w.line &&
+                        g.node_is_low == w.node_is_low &&
+                        g.peer_ripples == w.peer_ripples)
+                << "edge " << k << " differs";
+        }
+        edges += want.edges.size();
+    }
+    EXPECT_EQ(index.edge_count(), edges);
+    EXPECT_EQ(index.edge_count(), 2 * ledger.trustline_count());
+}
+
+datagen::PopulationSnapshot small_population() {
+    datagen::GeneratorConfig config;
+    config.seed = 5;
+    config.num_users = 500;
+    config.num_gateways = 25;
+    config.num_market_makers = 30;
+    config.num_merchants = 80;
+    config.num_hubs = 10;
+    return datagen::generate_population_only(config);
+}
+
+/// A ledger whose accounts interleave many currencies: each new line
+/// joins two random distinct accounts in a random currency, so an
+/// account's lines_of() alternates currencies; every fifth account
+/// gets no line at all.
+LedgerState random_ledger(std::uint64_t seed) {
+    static const std::array<const char*, 12> kCodes = {
+        "USD", "EUR", "BTC", "JPY", "CNY", "XAU",
+        "GBP", "KRW", "CCK", "MTL", "STR", "ETH"};
+    util::Rng rng = util::RngStream(seed).derive("graph-index-oracle").rng();
+    LedgerState ledger;
+    const std::uint64_t accounts = rng.uniform_u64(2, 60);
+    std::vector<AccountID> linked;
+    for (std::uint64_t a = 0; a < accounts; ++a) {
+        const AccountID id = AccountID::from_seed(
+            "oracle:" + std::to_string(seed) + ":" + std::to_string(a));
+        ledger.create_account(id, ledger::XrpAmount::from_xrp(10.0), false,
+                              rng.bernoulli(0.5));
+        if (a % 5 != 4) linked.push_back(id);
+    }
+    const std::uint64_t lines = rng.uniform_u64(0, 8 * accounts);
+    for (std::uint64_t l = 0; l < lines; ++l) {
+        const AccountID& from = linked[rng.uniform_u64(0, linked.size() - 1)];
+        const AccountID& to = linked[rng.uniform_u64(0, linked.size() - 1)];
+        if (from == to) continue;
+        const Currency currency =
+            Currency::from_code(kCodes[rng.uniform_u64(0, kCodes.size() - 1)]);
+        ledger.set_trust(from, to, currency,
+                         IouAmount::from_double(1.0 + static_cast<double>(l)));
+    }
+    return ledger;
+}
+
+TEST_F(GraphIndexTest, BuildMatchesPerCurrencyReference) {
+    {
+        SCOPED_TRACE("generated population");
+        const datagen::PopulationSnapshot snapshot = small_population();
+        GraphIndex index;
+        index.build(snapshot.ledger);
+        ASSERT_GE(index.partition_count(), 10u);
+        ASSERT_NE(index.partition(Currency::from_code("MTL")), nullptr);
+        ASSERT_NE(index.partition(Currency::from_code("CCK")), nullptr);
+        expect_matches_reference(snapshot.ledger);
+        expect_matches_reference(snapshot.ledger.clone());
+    }
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        SCOPED_TRACE("random ledger seed " + std::to_string(seed));
+        const LedgerState ledger = random_ledger(seed);
+        expect_matches_reference(ledger);
+        expect_matches_reference(ledger.clone());
+    }
+}
+
+/// lines_of() of every account, as line keys (pointers differ between
+/// copies of a ledger, keys do not).
+std::vector<std::vector<ledger::TrustLineKey>> adjacency_keys(
+    const LedgerState& ledger) {
+    std::vector<std::vector<ledger::TrustLineKey>> out(ledger.account_count());
+    for (std::uint32_t i = 0; i < ledger.account_count(); ++i) {
+        for (const ledger::TrustLine* line :
+             ledger.lines_of(ledger.account_by_index(i))) {
+            out[i].push_back(line->key());
+        }
+    }
+    return out;
+}
+
+/// The index of `ledger` with each TrustLine* replaced by its key.
+struct KeyedEdge {
+    std::uint32_t peer;
+    ledger::TrustLineKey line;
+    bool node_is_low;
+    bool peer_ripples;
+    friend bool operator==(const KeyedEdge&, const KeyedEdge&) = default;
+};
+struct KeyedPartition {
+    Currency currency;
+    std::vector<std::uint32_t> offsets;
+    std::vector<KeyedEdge> edges;
+    friend bool operator==(const KeyedPartition&,
+                           const KeyedPartition&) = default;
+};
+std::vector<KeyedPartition> keyed_index(const LedgerState& ledger) {
+    GraphIndex index;
+    index.build(ledger);
+    std::vector<KeyedPartition> out;
+    for (const Currency currency : currencies_of(ledger)) {
+        const GraphIndex::Partition* part = index.partition(currency);
+        KeyedPartition keyed{part->currency, part->offsets, {}};
+        for (const GraphIndex::Edge& e : part->edges) {
+            keyed.edges.push_back(
+                KeyedEdge{e.peer, e.line->key(), e.node_is_low, e.peer_ripples});
+        }
+        out.push_back(std::move(keyed));
+    }
+    return out;
+}
+
+TEST_F(GraphIndexTest, CloneOfCloneKeepsAdjacencyOrderAndIndex) {
+    // clone() rebuilds adjacency in the copied line map's iteration
+    // order, not the original's insertion order; datagen slices and
+    // replay engines each build from a clone, so a clone of a clone
+    // must reproduce the first clone's lines_of() order and index.
+    const datagen::PopulationSnapshot snapshot = small_population();
+    const LedgerState once = snapshot.ledger.clone();
+    const LedgerState twice = once.clone();
+    EXPECT_EQ(adjacency_keys(twice), adjacency_keys(once));
+    EXPECT_EQ(keyed_index(twice), keyed_index(once));
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        SCOPED_TRACE("random ledger seed " + std::to_string(seed));
+        const LedgerState ledger = random_ledger(seed);
+        const LedgerState first = ledger.clone();
+        const LedgerState second = first.clone();
+        EXPECT_EQ(adjacency_keys(second), adjacency_keys(first));
+        EXPECT_EQ(keyed_index(second), keyed_index(first));
+    }
 }
 
 }  // namespace
