@@ -3,11 +3,14 @@
 // Builds a population snapshot sized by XRPL_BENCH_REPLAY_ACCOUNTS
 // (users; default 20,000 — the paper-scale run uses 100,000), seeds
 // every Market Maker's order book, generates a delivered Table II
-// replay stream, then replays it once. Reports payments/second and
+// replay stream, then replays it once. Reports payments/second,
 // paths.nodes_expanded per payment (the search-space cost that grows
-// with the graph) as JSON on stdout; the same numbers land in
+// with the graph) and paths.capacity_reads per payment (the edges the
+// searches priced) as JSON on stdout; the same numbers land in
 // BENCH_ext_replay_scaling.json via bench gauges, next to the
-// paths.nodes_expanded and paths.index.* counters.
+// paths.nodes_expanded, paths.capacity_reads and paths.index.*
+// counters. CI compares the exact counts against
+// bench/baselines/ext_replay_scaling.ci.json.
 //
 // Knobs: XRPL_BENCH_REPLAY_ACCOUNTS (population), and
 // XRPL_BENCH_REPLAY_PAYMENTS (stream length, default 40,000).
@@ -91,24 +94,32 @@ XRPL_BENCH("ext_replay_scaling", "Extension",
               << ", replay stream: " << payments.size() << " payments]\n\n";
 
     obs::Counter& expanded = obs::counter("paths.nodes_expanded");
+    obs::Counter& priced = obs::counter("paths.capacity_reads");
     ledger::LedgerState world = snapshot.ledger.clone();
     paths::PaymentEngine engine(world);
-    const std::uint64_t before = expanded.value();
+    const std::uint64_t expanded_before = expanded.value();
+    const std::uint64_t priced_before = priced.value();
     const obs::Stopwatch watch;
     const paths::ReplayStats stats = paths::replay(engine, payments);
     const double seconds = watch.elapsed_seconds();
-    const std::uint64_t nodes_expanded = expanded.value() - before;
+    const std::uint64_t nodes_expanded = expanded.value() - expanded_before;
+    const std::uint64_t capacity_reads = priced.value() - priced_before;
     const double payments_per_sec = static_cast<double>(payments.size()) / seconds;
-    const double nodes_per_payment =
-        payments.empty() ? 0.0
-                         : static_cast<double>(nodes_expanded) /
-                               static_cast<double>(payments.size());
+    const auto per_payment = [&](std::uint64_t total) {
+        return payments.empty() ? 0.0
+                                : static_cast<double>(total) /
+                                      static_cast<double>(payments.size());
+    };
+    const double nodes_per_payment = per_payment(nodes_expanded);
+    const double reads_per_payment = per_payment(capacity_reads);
 
     // Mirror the headline numbers into the BENCH json's obs section.
     obs::gauge("bench.replay.pps")
         .set(static_cast<std::int64_t>(payments_per_sec));
     obs::gauge("bench.replay.nodes_per_payment")
         .set(static_cast<std::int64_t>(nodes_per_payment));
+    obs::gauge("bench.replay.capacity_reads_per_payment")
+        .set(static_cast<std::int64_t>(reads_per_payment));
     obs::gauge("bench.replay.accounts")
         .set(static_cast<std::int64_t>(snapshot.ledger.account_count()));
 
@@ -121,7 +132,9 @@ XRPL_BENCH("ext_replay_scaling", "Extension",
               << "  \"payments_per_sec\": "
               << static_cast<std::uint64_t>(payments_per_sec) << ",\n"
               << "  \"nodes_expanded\": " << nodes_expanded << ",\n"
-              << "  \"nodes_expanded_per_payment\": " << nodes_per_payment << "\n"
+              << "  \"nodes_expanded_per_payment\": " << nodes_per_payment << ",\n"
+              << "  \"capacity_reads\": " << capacity_reads << ",\n"
+              << "  \"capacity_reads_per_payment\": " << reads_per_payment << "\n"
               << "}\n";
     return 0;
 }

@@ -4,6 +4,7 @@
 // attack, quorum sensitivity).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -15,6 +16,7 @@
 #include "ledger/amount.hpp"
 #include "ledger/payment_columns.hpp"
 #include "node/node.hpp"
+#include "obs/metrics.hpp"
 #include "paths/graph_index.hpp"
 #include "paths/path_finder.hpp"
 #include "paths/payment_engine.hpp"
@@ -200,14 +202,29 @@ struct PathWorld {
     }
 };
 
+/// Runs `search` once per benchmark iteration with metric recording
+/// on, and reports paths.capacity_reads per search as a counter.
+template <class Search>
+void run_priced_searches(benchmark::State& state, Search&& search) {
+    const bool was_enabled = obs::enabled();
+    obs::set_enabled(true);
+    obs::Counter& reads = obs::counter("paths.capacity_reads");
+    const std::uint64_t before = reads.value();
+    for (auto _ : state) search();
+    const std::uint64_t priced = reads.value() - before;
+    obs::set_enabled(was_enabled);
+    state.counters["capacity_reads"] =
+        static_cast<double>(priced) / static_cast<double>(state.iterations());
+}
+
 void BM_PathFinder(benchmark::State& state) {
     static PathWorld world;
     paths::TrustGraph graph(world.state);
     paths::PathFinder finder;
     const ledger::Currency usd = ledger::Currency::from_code("USD");
-    for (auto _ : state) {
+    run_priced_searches(state, [&] {
         benchmark::DoNotOptimize(finder.find(graph, world.user, world.merchant, usd));
-    }
+    });
 }
 BENCHMARK(BM_PathFinder);
 
@@ -217,11 +234,63 @@ void BM_PathFinder_Widest(benchmark::State& state) {
     paths::TrustGraph graph(world.state);
     paths::WidestPathFinder finder;
     const ledger::Currency usd = ledger::Currency::from_code("USD");
-    for (auto _ : state) {
+    run_priced_searches(state, [&] {
         benchmark::DoNotOptimize(finder.find(graph, world.user, world.merchant, usd));
-    }
+    });
 }
 BENCHMARK(BM_PathFinder_Widest);
+
+/// Fixed user -> merchant search pairs on the paper benches'
+/// population, each in a currency both endpoints hold a line in.
+struct PopulationSearch {
+    ledger::AccountID from, to;
+    ledger::Currency currency;
+};
+
+std::vector<PopulationSearch> sample_population_searches(
+    const datagen::PopulationSnapshot& snapshot, std::size_t count) {
+    const datagen::Population& population = snapshot.population;
+    const ledger::LedgerState& ledger = snapshot.ledger;
+    util::Rng rng = util::RngStream(14).derive("population-searches").rng();
+    std::vector<PopulationSearch> searches;
+    for (std::size_t attempt = 0; attempt < count * 100 && searches.size() < count;
+         ++attempt) {
+        const ledger::AccountID& user =
+            population.users[rng.uniform_u64(0, population.users.size() - 1)];
+        const ledger::AccountID& merchant = population.merchants[rng.uniform_u64(
+            0, population.merchants.size() - 1)];
+        const auto& held = ledger.lines_of(merchant);
+        for (const ledger::TrustLine* line : ledger.lines_of(user)) {
+            const ledger::Currency currency = line->key().currency;
+            if (std::any_of(held.begin(), held.end(), [&](const auto* other) {
+                    return other->key().currency == currency;
+                })) {
+                searches.push_back({user, merchant, currency});
+                break;
+            }
+        }
+    }
+    return searches;
+}
+
+// User -> merchant searches over bench/common.hpp's default-mix
+// population (8,000 users, 50 currency partitions), cycling through
+// 256 fixed pairs: the replay's search shape on the benches' graph.
+void BM_PathFinderPopulation(benchmark::State& state) {
+    static const datagen::PopulationSnapshot& snapshot = bench::dataset_population();
+    static const std::vector<PopulationSearch> searches =
+        sample_population_searches(snapshot, 256);
+    paths::TrustGraph graph(snapshot.ledger);
+    paths::PathFinder finder;
+    std::size_t next = 0;
+    state.counters["pairs"] = static_cast<double>(searches.size());
+    run_priced_searches(state, [&] {
+        const PopulationSearch& search = searches[next++ % searches.size()];
+        benchmark::DoNotOptimize(
+            finder.find(graph, search.from, search.to, search.currency));
+    });
+}
+BENCHMARK(BM_PathFinderPopulation);
 
 // A full GraphIndex build on the paper benches' population
 // (bench/common.hpp's default mix: 8,000 users, 50 currency

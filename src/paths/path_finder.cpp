@@ -1,7 +1,6 @@
 #include "paths/path_finder.hpp"
 
 #include <algorithm>
-#include <deque>
 
 #include "obs/metrics.hpp"
 #include "paths/graph_index.hpp"
@@ -59,20 +58,21 @@ std::optional<TrustPath> PathFinder::run_search(
         return state(index).epoch == epoch_;
     };
 
-    std::deque<std::uint32_t> forward{src_index};
-    std::deque<std::uint32_t> backward{dst_index};
+    forward_.assign(1, src_index);
+    backward_.assign(1, dst_index);
     mark(src_index, 1, src_index, 0);
     mark(dst_index, 2, dst_index, 0);
 
     // Total path length cap: intermediate hops + the two endpoints.
     const std::size_t max_edges = config_.max_intermediate_hops + 1;
     std::size_t visited = 2;
+    std::size_t capacity_reads = 0;
     std::optional<std::uint32_t> meeting;
 
     std::uint8_t forward_depth = 0;
     std::uint8_t backward_depth = 0;
 
-    while (!forward.empty() && !backward.empty() && !meeting) {
+    while (!forward_.empty() && !backward_.empty() && !meeting) {
         if (static_cast<std::size_t>(forward_depth) +
                 static_cast<std::size_t>(backward_depth) >= max_edges) {
             break;
@@ -80,46 +80,50 @@ std::optional<TrustPath> PathFinder::run_search(
         if (visited > config_.max_visited) break;
 
         // Expand the smaller frontier one full level.
-        const bool expand_forward = forward.size() <= backward.size();
-        auto& frontier = expand_forward ? forward : backward;
+        const bool expand_forward = forward_.size() <= backward_.size();
+        std::vector<std::uint32_t>& frontier = expand_forward ? forward_ : backward_;
         const std::uint8_t direction = expand_forward ? 1 : 2;
         const std::uint8_t next_depth =
             static_cast<std::uint8_t>((expand_forward ? forward_depth
                                                       : backward_depth) + 1);
 
-        std::deque<std::uint32_t> next_frontier;
+        next_frontier_.clear();
         for (const std::uint32_t node_index : frontier) {
             if (meeting || part == nullptr) break;
             for (const GraphIndex::Edge& edge : part->edges_of(node_index)) {
                 if (meeting) break;
                 const std::uint32_t peer_index = edge.peer;
-                if (graph.is_excluded_index(peer_index)) continue;
-                // Forward, value leaves the node (node -> peer); backward,
-                // it arrives (peer -> node). Capacity is read live.
-                const IouAmount cap = edge.line->directed_capacity(
-                    edge.node_is_low == expand_forward);
-                if (cap.is_zero() || cap.is_negative()) continue;
-                // DefaultRipple: only rippling-enabled accounts may sit
-                // in the interior of a path; the two endpoints always may.
+                // Filter before pricing: the pure skip tests that read
+                // only an index run first. DefaultRipple: only
+                // rippling-enabled accounts may sit in the interior of
+                // a path; the two endpoints always may.
                 if (!edge.peer_ripples && peer_index != src_index &&
                     peer_index != dst_index) {
                     continue;
                 }
-                if (seen(peer_index)) {
-                    if (state(peer_index).direction != direction) {
-                        // Frontiers met: peer was reached from the other
-                        // side. Record the bridging edge.
-                        mark_meeting_ = {node_index, peer_index, direction};
-                        meeting = peer_index;
-                    }
+                if (graph.is_excluded_index(peer_index)) continue;
+                const bool peer_seen = seen(peer_index);
+                if (peer_seen && state(peer_index).direction == direction) continue;
+                // Only an edge that could be marked or bridge the two
+                // frontiers is priced. Forward, value leaves the node
+                // (node -> peer); backward, it arrives (peer -> node).
+                ++capacity_reads;
+                const IouAmount cap = edge.line->directed_capacity(
+                    edge.node_is_low == expand_forward);
+                if (cap.is_zero() || cap.is_negative()) continue;
+                if (peer_seen) {
+                    // Frontiers met: peer was reached from the other
+                    // side. Record the bridging edge.
+                    mark_meeting_ = {node_index, peer_index, direction};
+                    meeting = peer_index;
                     continue;
                 }
                 mark(peer_index, direction, node_index, next_depth);
-                next_frontier.push_back(peer_index);
+                next_frontier_.push_back(peer_index);
                 ++visited;
             }
         }
-        frontier = std::move(next_frontier);
+        frontier.swap(next_frontier_);
         if (expand_forward) {
             forward_depth = next_depth;
         } else {
@@ -127,10 +131,12 @@ std::optional<TrustPath> PathFinder::run_search(
         }
     }
 
-    // One add per search with the whole BFS's node total, not one per
-    // visit — find() is on the payment hot path.
+    // One add per search with the whole BFS's totals, not one per
+    // visit or edge — find() is on the payment hot path.
     static obs::Counter& nodes_expanded = obs::counter("paths.nodes_expanded");
+    static obs::Counter& capacity_read_total = obs::counter("paths.capacity_reads");
     nodes_expanded.add(visited);
+    capacity_read_total.add(capacity_reads);
 
     if (!meeting) return std::nullopt;
 

@@ -8,8 +8,14 @@
 // the parallel-path splits of Fig 6(b).
 //
 // The BFS walks the TrustGraph's CSR GraphIndex: flat index-space
-// spans of one currency partition, capacity read live per edge, no
-// hashing and no account() lookups in the inner loop.
+// spans of one currency partition, no hashing and no account()
+// lookups in the inner loop. Filter before pricing: each edge first
+// passes the skip tests that only read an index (DefaultRipple from
+// the edge's cached bit, exclusion, "already marked by this side"),
+// and only an edge that could still be marked or be the meeting edge
+// has its decimal capacity read live. Every test is a pure skip, so
+// the order changes no search; paths.capacity_reads counts the reads
+// (DESIGN.md §16).
 #pragma once
 
 #include <optional>
@@ -79,6 +85,12 @@ private:
     };
     std::vector<NodeState> nodes_;
     std::uint64_t epoch_ = 0;
+
+    // The two frontiers and the level being built, reused and swapped
+    // level by level (no per-search allocation once warm).
+    std::vector<std::uint32_t> forward_;
+    std::vector<std::uint32_t> backward_;
+    std::vector<std::uint32_t> next_frontier_;
 
     /// The bridging edge where the two frontiers met.
     struct Meeting {

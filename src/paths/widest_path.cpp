@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <queue>
 
+#include "obs/metrics.hpp"
 #include "paths/graph_index.hpp"
 #include "util/contract.hpp"
 
@@ -48,6 +49,12 @@ std::optional<TrustPath> WidestPathFinder::run_search(
     auto seen = [&](std::uint32_t index) {
         return labels_[index].epoch == epoch_;
     };
+    // Read-only probe: label_of() would stamp a label on a node the
+    // search never relaxes (and a stamped destination reads as found).
+    auto settled = [&](std::uint32_t index) {
+        const NodeLabel& label = labels_[index];
+        return label.epoch == epoch_ && label.settled;
+    };
 
     std::priority_queue<QueueEntry> frontier;
 
@@ -57,6 +64,8 @@ std::optional<TrustPath> WidestPathFinder::run_search(
     frontier.push(QueueEntry{origin.best, src_index});
 
     std::size_t visited = 0;
+    std::size_t capacity_reads = 0;
+    bool gave_up = false;
     while (!frontier.empty()) {
         const QueueEntry top = frontier.top();
         frontier.pop();
@@ -65,21 +74,26 @@ std::optional<TrustPath> WidestPathFinder::run_search(
         if (!(top.bottleneck == label.best)) continue;  // stale entry
         label.settled = true;
         if (top.index == dst_index) break;
-        if (++visited > config_.max_visited) return std::nullopt;
+        if (++visited > config_.max_visited) {
+            gave_up = true;
+            break;
+        }
         if (label.depth >= config_.max_intermediate_hops + 1) continue;
         if (part == nullptr) continue;
 
         for (const GraphIndex::Edge& edge : part->edges_of(top.index)) {
             const std::uint32_t peer_index = edge.peer;
+            // Filter before pricing: the index-only skip tests first.
+            if (!edge.peer_ripples && peer_index != dst_index) continue;
             if (graph.is_excluded_index(peer_index)) continue;
+            if (settled(peer_index)) continue;
             // Capacity out of the settled node, read live.
+            ++capacity_reads;
             const IouAmount cap = edge.line->directed_capacity(edge.node_is_low);
             if (cap.is_zero() || cap.is_negative()) continue;
-            if (!edge.peer_ripples && peer_index != dst_index) continue;
             const IouAmount bottleneck = cap < label.best ? cap : label.best;
             if (bottleneck.is_zero() || bottleneck.is_negative()) continue;
             NodeLabel& peer_label = label_of(peer_index);
-            if (peer_label.settled) continue;
             if (peer_label.best.is_zero() || peer_label.best < bottleneck) {
                 peer_label.best = bottleneck;
                 peer_label.parent = top.index;
@@ -89,7 +103,11 @@ std::optional<TrustPath> WidestPathFinder::run_search(
         }
     }
 
-    if (!seen(dst_index)) return std::nullopt;
+    // One add per search, like PathFinder's counters.
+    static obs::Counter& capacity_read_total = obs::counter("paths.capacity_reads");
+    capacity_read_total.add(capacity_reads);
+
+    if (gave_up || !seen(dst_index)) return std::nullopt;
 
     TrustPath path;
     path.capacity = labels_[dst_index].best;

@@ -9,7 +9,12 @@
 //
 // Like PathFinder, the relaxation walks the TrustGraph's CSR
 // GraphIndex; labels live in an epoch-stamped flat scratch vector
-// keyed by dense account index (no per-call hash map).
+// keyed by dense account index (no per-call hash map). It filters
+// before pricing too: DefaultRipple, exclusion and a read-only
+// "already settled" probe run before an edge's capacity is read, and
+// a label is written only for an edge that passed every test, so a
+// rejected edge never leaves its peer labelled. Reads are counted in
+// paths.capacity_reads.
 #pragma once
 
 #include <optional>

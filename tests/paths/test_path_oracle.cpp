@@ -8,15 +8,23 @@
 // the search must ignore, and random exclusions. Edge capacity comes
 // straight from LedgerState::trustline()->capacity_from(), so the
 // oracle shares nothing with the CSR index the finders walk.
+//
+// Hand-built fixtures then pin the finders' check order (filter
+// before pricing, DESIGN.md §16): an edge's capacity is read only
+// after the index-only skip tests pass, counted per search through
+// paths.capacity_reads, and each fixture's answer is checked against
+// the same enumerator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ledger/ledger.hpp"
+#include "obs/metrics.hpp"
 #include "paths/path_finder.hpp"
 #include "paths/trust_graph.hpp"
 #include "paths/widest_path.hpp"
@@ -264,6 +272,191 @@ TEST(PathOracleTest, WidestPathFinderMatchesExhaustiveMaxMin) {
         }
     }
     EXPECT_GT(found, 1000u);
+}
+
+// --- Filter before pricing ------------------------------------------
+
+std::size_t add_account(World& world, const std::string& seed, bool ripples) {
+    const AccountID id = AccountID::from_seed("check-order-" + seed);
+    EXPECT_TRUE(world.state.create_account(id, ledger::XrpAmount::from_xrp(10.0),
+                                           false, ripples));
+    world.accounts.push_back(id);
+    world.ripples.push_back(ripples);
+    world.excluded.push_back(false);
+    return world.accounts.size() - 1;
+}
+
+/// USD capacity `limit` from account i to account j (j trusts i).
+void open_edge(World& world, std::size_t i, std::size_t j, double limit) {
+    world.state.set_trust(world.accounts[j], world.accounts[i], kUsd,
+                          IouAmount::from_double(limit));
+}
+
+void open_both(World& world, std::size_t i, std::size_t j) {
+    open_edge(world, i, j, 100.0);
+    open_edge(world, j, i, 100.0);
+}
+
+/// Runs `finder.find(from -> to)` with metric recording on; returns
+/// the path and the search's paths.capacity_reads.
+template <class Finder>
+std::pair<std::optional<TrustPath>, std::uint64_t> priced_find(
+    Finder& finder, const TrustGraph& graph, const World& world,
+    std::size_t from, std::size_t to) {
+    (void)graph.index();  // build outside the measured search
+    const bool was_enabled = obs::enabled();
+    obs::set_enabled(true);
+    obs::Counter& reads = obs::counter("paths.capacity_reads");
+    const std::uint64_t before = reads.value();
+    auto path = finder.find(graph, world.accounts[from], world.accounts[to], kUsd);
+    const std::uint64_t priced = reads.value() - before;
+    obs::set_enabled(was_enabled);
+    return {std::move(path), priced};
+}
+
+std::vector<std::size_t> positions(const World& world, const TrustPath& path) {
+    std::vector<std::size_t> at;
+    for (const AccountID& id : path.nodes) at.push_back(position(world, id));
+    return at;
+}
+
+TEST(PathOracleTest, StarSearchPricesOnlyUsableEdges) {
+    // One rippling gateway, 2,000 non-rippling users: the gateway's
+    // expansion must skip every user but the endpoints unpriced.
+    World world;
+    const std::size_t gateway = add_account(world, "gateway", true);
+    for (int u = 0; u < 2'000; ++u) {
+        open_both(world, add_account(world, "user" + std::to_string(u), false),
+                  gateway);
+    }
+    const std::size_t from = 18;
+    const std::size_t to = 1'524;
+    const Truth truth = enumerate(world, from, to);
+    ASSERT_EQ(truth.min_edges, 2u);
+    const TrustGraph graph = graph_of(world);
+
+    PathFinder shortest;
+    const auto [path, reads] = priced_find(shortest, graph, world, from, to);
+    ASSERT_TRUE(path.has_value());
+    EXPECT_EQ(positions(world, *path), (std::vector<std::size_t>{from, gateway, to}));
+    EXPECT_EQ(check_path(world, *path, from, to), path->capacity);
+    EXPECT_LE(reads, 8u);
+
+    WidestPathFinder widest;
+    const auto [wide, wide_reads] = priced_find(widest, graph, world, from, to);
+    ASSERT_TRUE(wide.has_value());
+    EXPECT_EQ(wide->capacity, *truth.widest);
+    EXPECT_EQ(check_path(world, *wide, from, to), wide->capacity);
+    EXPECT_LE(wide_reads, 8u);
+}
+
+TEST(PathOracleTest, ZeroCapacityEdgeBetweenFrontiersIsNotTheMeeting) {
+    // s has two forward children, so the backward side expands d, then
+    // b. b's edge to the forward-marked a is dead in the a -> b
+    // direction (only b -> a is open): the frontiers must meet later,
+    // on c -> a, not there.
+    World world;
+    const std::size_t s = add_account(world, "s", true);
+    const std::size_t a = add_account(world, "a", true);
+    const std::size_t a2 = add_account(world, "a2", true);
+    const std::size_t b = add_account(world, "b", true);
+    const std::size_t c = add_account(world, "c", true);
+    const std::size_t d = add_account(world, "d", true);
+    open_both(world, s, a);
+    open_both(world, s, a2);
+    open_both(world, b, d);
+    open_edge(world, b, a, 100.0);
+    open_both(world, a, c);
+    open_both(world, c, b);
+    const Truth truth = enumerate(world, s, d);
+    ASSERT_EQ(truth.min_edges, 4u);
+
+    PathFinder finder;
+    const auto [path, reads] = priced_find(finder, graph_of(world), world, s, d);
+    ASSERT_TRUE(path.has_value());
+    EXPECT_EQ(positions(world, *path), (std::vector<std::size_t>{s, a, c, b, d}));
+    EXPECT_EQ(check_path(world, *path, s, d), path->capacity);
+    // s->a, s->a2, d<-b, b<-a (zero), b<-c, c<-a: d and b's edges back
+    // into the backward side are never priced.
+    EXPECT_EQ(reads, 6u);
+}
+
+TEST(PathOracleTest, EdgeBackIntoOwnSideIsNotPricedOrRemarked) {
+    // a and b both sit on the forward side when it expands them; the
+    // a-b edge (and both edges back to s) must be skipped unpriced,
+    // and b must keep its depth-1 label from s.
+    World world;
+    const std::size_t s = add_account(world, "s", true);
+    const std::size_t a = add_account(world, "a", true);
+    const std::size_t b = add_account(world, "b", true);
+    const std::size_t x = add_account(world, "x", true);
+    const std::size_t y = add_account(world, "y", true);
+    const std::size_t d = add_account(world, "d", true);
+    open_both(world, s, a);
+    open_both(world, s, b);
+    open_both(world, a, b);
+    open_both(world, b, x);
+    open_both(world, d, x);
+    open_both(world, d, y);
+    const Truth truth = enumerate(world, s, d);
+    ASSERT_EQ(truth.min_edges, 3u);
+
+    PathFinder finder;
+    const auto [path, reads] = priced_find(finder, graph_of(world), world, s, d);
+    ASSERT_TRUE(path.has_value());
+    EXPECT_EQ(positions(world, *path), (std::vector<std::size_t>{s, b, x, d}));
+    EXPECT_EQ(check_path(world, *path, s, d), path->capacity);
+    // s->a, s->b, x<-d, y<-d, then b->x meets; a's and b's edges back
+    // into the forward side cost nothing.
+    EXPECT_EQ(reads, 5u);
+}
+
+TEST(PathOracleTest, WidestSkipsSettledPeersUnpriced) {
+    World world;
+    const std::size_t s = add_account(world, "s", true);
+    const std::size_t a = add_account(world, "a", true);
+    const std::size_t d = add_account(world, "d", true);
+    open_both(world, s, a);
+    open_edge(world, a, d, 40.0);
+    open_edge(world, d, a, 40.0);
+    const Truth truth = enumerate(world, s, d);
+    ASSERT_TRUE(truth.widest.has_value());
+
+    WidestPathFinder finder;
+    const auto [path, reads] = priced_find(finder, graph_of(world), world, s, d);
+    ASSERT_TRUE(path.has_value());
+    EXPECT_EQ(positions(world, *path), (std::vector<std::size_t>{s, a, d}));
+    EXPECT_EQ(path->capacity, *truth.widest);
+    EXPECT_EQ(check_path(world, *path, s, d), path->capacity);
+    // s->a, then a->d; a's edge back to the settled s is not priced.
+    EXPECT_EQ(reads, 2u);
+}
+
+TEST(PathOracleTest, WidestZeroCapacityEdgeLeavesDestinationUnlabelled) {
+    // a -> d is dead (only d -> a is open), so d is unreachable: the
+    // rejected edge must not stamp a label on d, which would read as
+    // found.
+    World world;
+    const std::size_t s = add_account(world, "s", true);
+    const std::size_t a = add_account(world, "a", true);
+    const std::size_t d = add_account(world, "d", true);
+    open_both(world, s, a);
+    open_edge(world, d, a, 100.0);
+    const TrustGraph graph = graph_of(world);
+    ASSERT_FALSE(enumerate(world, s, d).widest.has_value());
+
+    WidestPathFinder finder;
+    const auto [path, reads] = priced_find(finder, graph, world, s, d);
+    EXPECT_FALSE(path.has_value());
+    EXPECT_EQ(reads, 2u);  // s->a, then a->d (zero)
+
+    // The reverse direction is open; the same finder finds it.
+    const Truth back = enumerate(world, d, s);
+    ASSERT_TRUE(back.widest.has_value());
+    const auto reverse = finder.find(graph, world.accounts[d], world.accounts[s], kUsd);
+    ASSERT_TRUE(reverse.has_value());
+    EXPECT_EQ(reverse->capacity, *back.widest);
+    EXPECT_EQ(check_path(world, *reverse, d, s), reverse->capacity);
 }
 
 }  // namespace
