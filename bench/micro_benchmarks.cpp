@@ -310,6 +310,19 @@ void BM_GraphIndexBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphIndexBuild)->Unit(benchmark::kMillisecond);
 
+// LedgerState::clone() of the same population: the per-slice and
+// per-replay-engine copy that precedes each of those index builds.
+void BM_LedgerClone(benchmark::State& state) {
+    const ledger::LedgerState& ledger = bench::dataset_population().ledger;
+    for (auto _ : state) {
+        const ledger::LedgerState copy = ledger.clone();
+        benchmark::DoNotOptimize(copy.trustline_count());
+    }
+    state.counters["accounts"] = static_cast<double>(ledger.account_count());
+    state.counters["trust_lines"] = static_cast<double>(ledger.trustline_count());
+}
+BENCHMARK(BM_LedgerClone)->Unit(benchmark::kMillisecond);
+
 // End-to-end node throughput: submit -> consensus -> sealed -> applied.
 void BM_NodeRound(benchmark::State& state) {
     ledger::LedgerState world;

@@ -18,9 +18,8 @@ void fill_ledger_stats(NetworkStats& stats, const ledger::LedgerState& ledger) {
 
     std::uint64_t degree_total = 0;
     for (std::uint32_t i = 0; i < ledger.account_count(); ++i) {
-        const ledger::AccountID& id = ledger.account_by_index(i);
         const auto degree =
-            static_cast<std::uint32_t>(ledger.lines_of(id).size());
+            static_cast<std::uint32_t>(ledger.lines_of_index(i).size());
         ++stats.degree_histogram[degree];
         degree_total += degree;
         stats.max_degree = std::max(stats.max_degree, degree);

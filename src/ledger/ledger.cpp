@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/contract.hpp"
+
 namespace xrpl::ledger {
 
 namespace {
@@ -12,16 +14,24 @@ const std::vector<Offer> kNoOffers;
 LedgerState LedgerState::clone() const {
     LedgerState copy;
     copy.accounts_ = accounts_;
-    copy.index_to_account_ = index_to_account_;
     copy.lines_ = lines_;
+    copy.line_currencies_ = line_currencies_;
+    copy.currency_ids_ = currency_ids_;
     copy.books_ = books_;
     copy.burned_ = burned_;
     copy.next_offer_id_ = next_offer_id_;
     copy.topology_generation_ = topology_generation_;
-    copy.adjacency_.reserve(adjacency_.size());
+    copy.roots_by_index_.resize(roots_by_index_.size());
+    for (auto& [id, root] : copy.accounts_) copy.roots_by_index_[root.index] = &root;
+    // Each row gets its final size up front (degrees are the same as
+    // here); the walk itself is the copied map's order, as documented.
+    copy.adjacency_.resize(adjacency_.size());
+    for (std::size_t i = 0; i < adjacency_.size(); ++i) {
+        copy.adjacency_[i].reserve(adjacency_[i].size());
+    }
     for (auto& [key, line] : copy.lines_) {
-        copy.adjacency_[key.low].push_back(&line);
-        copy.adjacency_[key.high].push_back(&line);
+        copy.adjacency_[line.low_index()].push_back(&line);
+        copy.adjacency_[line.high_index()].push_back(&line);
     }
     return copy;
 }
@@ -32,9 +42,9 @@ bool LedgerState::create_account(const AccountID& id, XrpAmount initial_balance,
     const auto [it, inserted] = accounts_.try_emplace(
         id, AccountRoot{id, initial_balance, 0, is_gateway,
                         is_gateway || allows_rippling, index});
-    (void)it;
     if (inserted) {
-        index_to_account_.push_back(id);
+        roots_by_index_.push_back(&it->second);
+        adjacency_.emplace_back();
         ++topology_generation_;
     }
     return inserted;
@@ -78,12 +88,21 @@ TrustLine& LedgerState::set_trust(const AccountID& from, const AccountID& to,
     const TrustLineKey key = TrustLineKey::make(from, to, currency);
     auto it = lines_.find(key);
     if (it == lines_.end()) {
+        const AccountRoot* low = account(key.low);
+        const AccountRoot* high = account(key.high);
+        XRPL_ASSERT(low != nullptr && high != nullptr,
+                    "set_trust: both endpoints must exist");
+        XRPL_ASSERT(low != high, "set_trust: endpoints must differ");
+        const auto [id, fresh] = currency_ids_.try_emplace(
+            currency, static_cast<std::uint32_t>(line_currencies_.size()));
+        if (fresh) line_currencies_.push_back(currency);
         const IouAmount zero;
         const bool from_is_low = from == key.low;
-        TrustLine line(key, from_is_low ? limit : zero, from_is_low ? zero : limit);
+        TrustLine line(key, from_is_low ? limit : zero, from_is_low ? zero : limit,
+                       TrustLineSlots{low->index, high->index, id->second});
         it = lines_.emplace(key, line).first;
-        adjacency_[key.low].push_back(&it->second);
-        adjacency_[key.high].push_back(&it->second);
+        adjacency_[low->index].push_back(&it->second);
+        adjacency_[high->index].push_back(&it->second);
         ++topology_generation_;
     } else {
         it->second.set_limit_of(from, limit);
@@ -105,8 +124,8 @@ TrustLine* LedgerState::trustline(const AccountID& a, const AccountID& b,
 
 const std::vector<TrustLine*>& LedgerState::lines_of(
     const AccountID& account) const noexcept {
-    const auto it = adjacency_.find(account);
-    return it == adjacency_.end() ? kNoLines : it->second;
+    const AccountRoot* root = this->account(account);
+    return root == nullptr ? kNoLines : adjacency_[root->index];
 }
 
 double LedgerState::net_iou_balance(

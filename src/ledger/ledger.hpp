@@ -1,8 +1,19 @@
 // Ledger state: accounts, trust lines, and order books.
 //
 // This is the mutable "current ledger" the payment engine executes
-// against. Trust lines are stored node-based so pointers handed to
-// the adjacency index stay valid across insertions.
+// against. Accounts and trust lines are stored node-based so pointers
+// into them stay valid across insertions (and across a move of the
+// whole state).
+//
+// Trust topology lives in dense-index space: every account gets the
+// next dense index at creation, every trust line records its two
+// endpoints' indices and its currency's interned id (TrustLineSlots),
+// and the adjacency is one vector of line pointers per dense index.
+// lines_of(AccountID) is one accounts_ lookup plus an index;
+// lines_of_index() is the index alone, so paths::GraphIndex builds
+// without hashing an AccountID. set_trust() therefore requires both
+// endpoints to exist and to differ — the payment engine rejects a
+// TrustSet that breaks this before it reaches the ledger.
 #pragma once
 
 #include <cstdint>
@@ -78,7 +89,7 @@ class LedgerState {
 public:
     LedgerState() = default;
 
-    // Not copyable (the adjacency index holds interior pointers);
+    // Not copyable (the by-index tables hold interior pointers);
     // movable is fine because unordered_map nodes do not relocate.
     // Use clone() for an explicit deep copy.
     LedgerState(const LedgerState&) = delete;
@@ -86,11 +97,11 @@ public:
     LedgerState(LedgerState&&) = default;
     LedgerState& operator=(LedgerState&&) = default;
 
-    /// Deep copy with a freshly rebuilt adjacency index. Replay
-    /// experiments run against a clone so the original snapshot stays
-    /// pristine. The copy's lines_of() order is the copied line map's
-    /// iteration order, not line creation order; a clone of a clone
-    /// keeps it.
+    /// Deep copy with freshly rebuilt by-index tables (no AccountID is
+    /// hashed: lines carry their endpoint indices). Replay experiments
+    /// run against a clone so the original snapshot stays pristine.
+    /// The copy's lines_of() order is the copied line map's iteration
+    /// order, not line creation order; a clone of a clone keeps it.
     [[nodiscard]] LedgerState clone() const;
 
     // --- accounts ---------------------------------------------------
@@ -108,7 +119,10 @@ public:
     /// The account created with dense index `index` (0-based, in
     /// creation order). Precondition: index < account_count().
     [[nodiscard]] const AccountID& account_by_index(std::uint32_t index) const {
-        return index_to_account_.at(index);
+        return root_by_index(index).id;
+    }
+    [[nodiscard]] const AccountRoot& root_by_index(std::uint32_t index) const {
+        return *roots_by_index_.at(index);
     }
 
     /// Direct XRP transfer plus fee burn; fails on missing accounts or
@@ -129,6 +143,9 @@ public:
 
     /// `from` declares trust of `limit` towards `to` in `currency`.
     /// Creates the line if absent; updates the limit otherwise.
+    /// Precondition: both accounts exist and from != to (a line's
+    /// slots need two dense indices; a self-loop would let a path
+    /// "ripple" value without moving it).
     TrustLine& set_trust(const AccountID& from, const AccountID& to,
                          Currency currency, IouAmount limit);
 
@@ -137,9 +154,22 @@ public:
     [[nodiscard]] TrustLine* trustline(const AccountID& a, const AccountID& b,
                                        Currency currency) noexcept;
 
-    /// All trust lines touching `account` (any currency).
+    /// All trust lines touching `account` (any currency); empty for an
+    /// unknown account.
     [[nodiscard]] const std::vector<TrustLine*>& lines_of(
         const AccountID& account) const noexcept;
+    /// lines_of() of the account with dense index `index`.
+    /// Precondition: index < account_count().
+    [[nodiscard]] const std::vector<TrustLine*>& lines_of_index(
+        std::uint32_t index) const {
+        return adjacency_.at(index);
+    }
+
+    /// Every currency some trust line uses, indexed by
+    /// TrustLine::currency_id() (interned in first-use order).
+    [[nodiscard]] const std::vector<Currency>& line_currencies() const noexcept {
+        return line_currencies_;
+    }
 
     [[nodiscard]] std::size_t trustline_count() const noexcept { return lines_.size(); }
 
@@ -200,9 +230,11 @@ public:
 
 private:
     std::unordered_map<AccountID, AccountRoot> accounts_;
-    std::vector<AccountID> index_to_account_;
+    std::vector<AccountRoot*> roots_by_index_;  // into accounts_
     std::unordered_map<TrustLineKey, TrustLine> lines_;
-    std::unordered_map<AccountID, std::vector<TrustLine*>> adjacency_;
+    std::vector<std::vector<TrustLine*>> adjacency_;  // by dense index
+    std::vector<Currency> line_currencies_;           // by currency id
+    std::unordered_map<Currency, std::uint32_t> currency_ids_;
     std::unordered_map<BookKey, std::vector<Offer>> books_;
     XrpAmount burned_;
     std::uint64_t next_offer_id_ = 1;

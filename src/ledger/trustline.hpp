@@ -5,9 +5,15 @@
 // carries a signed balance and the two directional trust limits.
 // IOU payments ripple along trust lines; the capacity available in a
 // direction is  balance-from-receiver's-view + receiver's-limit.
+//
+// A line made by LedgerState also records where it sits in that
+// ledger: its endpoints' dense account indices and its currency's
+// interned id, so index-space consumers (paths::GraphIndex) read the
+// topology without hashing or comparing AccountIDs.
 #pragma once
 
 #include <compare>
+#include <cstdint>
 #include <functional>
 
 #include "ledger/amount.hpp"
@@ -28,13 +34,31 @@ struct TrustLineKey {
     friend auto operator<=>(const TrustLineKey&, const TrustLineKey&) = default;
 };
 
+/// Where a line sits in its ledger: the dense account indices of
+/// key().low and key().high, and the ledger's interned id of
+/// key().currency. All zero for a line made outside a ledger.
+struct TrustLineSlots {
+    std::uint32_t low_index = 0;
+    std::uint32_t high_index = 0;
+    std::uint32_t currency_id = 0;
+};
+
 /// A credit line between two accounts in one currency.
 class TrustLine {
 public:
-    TrustLine(TrustLineKey key, IouAmount limit_low, IouAmount limit_high) noexcept
-        : key_(key), limit_low_(limit_low), limit_high_(limit_high) {}
+    TrustLine(TrustLineKey key, IouAmount limit_low, IouAmount limit_high,
+              TrustLineSlots slots = {}) noexcept
+        : key_(key), slots_(slots), limit_low_(limit_low), limit_high_(limit_high) {}
 
     [[nodiscard]] const TrustLineKey& key() const noexcept { return key_; }
+
+    /// Dense account index of key().low / key().high in the owning
+    /// ledger (LedgerState keeps these equal to account(...)->index).
+    [[nodiscard]] std::uint32_t low_index() const noexcept { return slots_.low_index; }
+    [[nodiscard]] std::uint32_t high_index() const noexcept { return slots_.high_index; }
+    /// The owning ledger's interned id of key().currency
+    /// (LedgerState::line_currencies() maps it back).
+    [[nodiscard]] std::uint32_t currency_id() const noexcept { return slots_.currency_id; }
 
     /// Balance from the low account's perspective: positive means the
     /// high account owes the low account.
@@ -83,6 +107,7 @@ public:
 
 private:
     TrustLineKey key_;
+    TrustLineSlots slots_;
     IouAmount balance_;     // high owes low when positive
     IouAmount limit_low_;   // low's trust towards high
     IouAmount limit_high_;  // high's trust towards low

@@ -1,6 +1,7 @@
 #include "paths/graph_index.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "obs/metrics.hpp"
 #include "obs/stopwatch.hpp"
@@ -12,49 +13,61 @@ void GraphIndex::build(const ledger::LedgerState& ledger) {
     const auto account_count =
         static_cast<std::uint32_t>(ledger.account_count());
 
-    // Every pass walks accounts in dense index order (not the unordered
-    // line map), which keeps the build deterministic and gives each
-    // line exactly two visits, one per endpoint. lines_of() is a hash
-    // lookup, so it is done once per account here, not once per pass.
-    std::vector<const std::vector<ledger::TrustLine*>*> rows(account_count);
-    for (std::uint32_t i = 0; i < account_count; ++i) {
-        rows[i] = &ledger.lines_of(ledger.account_by_index(i));
-    }
-
-    // Pass 1 — discover the currency set by sorted insert: a ledger has
-    // a few dozen currencies against ~10^5 line endpoints, so sorting
-    // every endpoint's currency would be wasted work.
-    std::vector<ledger::Currency> currencies;
-    for (const auto* row : rows) {
-        for (const ledger::TrustLine* line : *row) {
-            const ledger::Currency currency = line->key().currency;
-            const auto it = std::lower_bound(currencies.begin(),
-                                             currencies.end(), currency);
-            if (it == currencies.end() || !(*it == currency)) {
-                currencies.insert(it, currency);
-            }
+    // The topology is already in index space: each line carries its
+    // endpoints' dense indices and its currency id, and the adjacency
+    // is a row per dense index. So the build hashes no AccountID and
+    // compares no Currency per edge; it only maps currency ids to
+    // partition slots (partitions are sorted by currency) and reads one
+    // rippling flag per account.
+    const std::vector<ledger::Currency>& currencies = ledger.line_currencies();
+    std::vector<std::uint32_t> slot_of_currency(currencies.size());
+    {
+        std::vector<std::uint32_t> by_currency(currencies.size());
+        std::iota(by_currency.begin(), by_currency.end(), 0U);
+        std::sort(by_currency.begin(), by_currency.end(),
+                  [&](std::uint32_t a, std::uint32_t b) {
+                      return currencies[a] < currencies[b];
+                  });
+        for (std::uint32_t slot = 0; slot < by_currency.size(); ++slot) {
+            slot_of_currency[by_currency[slot]] = slot;
         }
     }
-
     partitions_.clear();
     partitions_.resize(currencies.size());
-    for (std::size_t p = 0; p < currencies.size(); ++p) {
-        partitions_[p].currency = currencies[p];
-        partitions_[p].offsets.assign(account_count + 1, 0);
+    for (std::size_t id = 0; id < currencies.size(); ++id) {
+        Partition& part = partitions_[slot_of_currency[id]];
+        part.currency = currencies[id];
+        part.offsets.assign(account_count + 1, 0);
+    }
+    std::vector<bool> ripples(account_count);
+    for (std::uint32_t i = 0; i < account_count; ++i) {
+        ripples[i] = ledger.root_by_index(i).allows_rippling;
     }
 
-    // Pass 2 — per-partition degree counts into the offset slots. The
-    // partition of every line endpoint is kept, in visit order, so the
-    // fill below needs no second currency search.
-    std::vector<std::uint32_t> slot_of_edge;
-    slot_of_edge.reserve(2 * ledger.trustline_count());
+    // Pass 1 — one read of every line endpoint, in dense index order
+    // (not the unordered line map), which keeps the build deterministic
+    // and visits each line once per endpoint. It counts per-partition
+    // degrees into the offset slots and keeps a compact record of the
+    // endpoint, so the fill below touches no TrustLine.
+    struct Visit {
+        std::uint32_t peer;
+        std::uint32_t slot;
+        bool node_is_low;
+    };
+    std::vector<Visit> visits;
+    visits.reserve(2 * ledger.trustline_count());
     for (std::uint32_t i = 0; i < account_count; ++i) {
-        for (const ledger::TrustLine* line : *rows[i]) {
-            const auto slot = static_cast<std::uint32_t>(
-                std::lower_bound(currencies.begin(), currencies.end(),
-                                 line->key().currency) -
-                currencies.begin());
-            slot_of_edge.push_back(slot);
+        for (const ledger::TrustLine* line : ledger.lines_of_index(i)) {
+            const bool node_is_low = line->low_index() == i;
+            const std::uint32_t peer =
+                node_is_low ? line->high_index() : line->low_index();
+            const std::uint32_t slot = slot_of_currency[line->currency_id()];
+            XRPL_ASSERT(peer < account_count,
+                        "trust lines must connect existing accounts");
+            // A self-loop would let the path finder "ripple" value
+            // without moving it.
+            XRPL_ASSERT(peer != i, "trust lines must connect two distinct accounts");
+            visits.push_back(Visit{peer, slot, node_is_low});
             ++partitions_[slot].offsets[i + 1];
         }
     }
@@ -72,23 +85,12 @@ void GraphIndex::build(const ledger::LedgerState& ledger) {
     // searches break ties in adjacency order and the Table II goldens
     // stay put.
     std::vector<std::uint32_t> cursor(partitions_.size(), 0);
-    std::size_t visit = 0;
+    const Visit* visit = visits.data();
     for (std::uint32_t i = 0; i < account_count; ++i) {
-        const ledger::AccountID& node = ledger.account_by_index(i);
-        for (const ledger::TrustLine* line : *rows[i]) {
-            const std::uint32_t slot = slot_of_edge[visit++];
-            const bool node_is_low = node == line->key().low;
-            const ledger::AccountID& peer_id =
-                node_is_low ? line->key().high : line->key().low;
-            const ledger::AccountRoot* peer = ledger.account(peer_id);
-            XRPL_ASSERT(peer != nullptr,
-                        "trust lines must connect existing accounts");
-            // A self-loop would let the path finder "ripple" value
-            // without moving it.
-            XRPL_ASSERT(peer->index != i,
-                        "trust lines must connect two distinct accounts");
-            partitions_[slot].edges[cursor[slot]++] =
-                Edge{peer->index, line, node_is_low, peer->allows_rippling};
+        for (const ledger::TrustLine* line : ledger.lines_of_index(i)) {
+            const Visit v = *visit++;
+            partitions_[v.slot].edges[cursor[v.slot]++] =
+                Edge{v.peer, line, v.node_is_low, ripples[v.peer]};
         }
     }
 
@@ -96,11 +98,11 @@ void GraphIndex::build(const ledger::LedgerState& ledger) {
     built_generation_ = ledger.topology_generation();
 }
 
-void GraphIndex::ensure(const ledger::LedgerState& ledger) {
+bool GraphIndex::ensure(const ledger::LedgerState& ledger) {
     if (built_ && built_generation_ == ledger.topology_generation()) {
         static obs::Counter& hits = obs::counter("paths.index.hits");
         hits.add(1);
-        return;
+        return false;
     }
     static obs::Counter& builds = obs::counter("paths.index.builds");
     static obs::Counter& rebuilds = obs::counter("paths.index.rebuilds");
@@ -111,6 +113,7 @@ void GraphIndex::ensure(const ledger::LedgerState& ledger) {
     build_ns.record(watch.elapsed_ns());
     builds.add(1);
     if (rebuild) rebuilds.add(1);
+    return true;
 }
 
 const GraphIndex::Partition* GraphIndex::partition(

@@ -8,8 +8,12 @@
 // TrustLine*, direction bit, cached rippling flag) keyed by the
 // ledger's dense account index, so the bidirectional-BFS inner loop is
 // a flat span walk over uint32 indices with zero hashing and zero
-// account() lookups. A build costs O(accounts + trust lines): two
-// walks over lines_of() (currency set, degree counts) and one fill.
+// account() lookups. A build costs O(accounts + trust lines) and reads
+// the ledger's index-space topology only (LedgerState::lines_of_index,
+// each line's endpoint indices and currency id): one walk that reads
+// every line endpoint once (degree counts plus a compact per-endpoint
+// record) and one fill from those records; no AccountID is hashed or
+// compared.
 //
 // Invalidation contract: CAPACITY is read live through the stored
 // TrustLine* at visit time, so balance/limit mutations by the payment
@@ -64,10 +68,10 @@ public:
     void build(const ledger::LedgerState& ledger);
 
     /// Lazy freshness: rebuild only if the ledger's topology
-    /// generation moved since the last build. Records paths.index.*
-    /// metrics (builds/rebuilds/build_ns on a rebuild, hits on a
-    /// served query).
-    void ensure(const ledger::LedgerState& ledger);
+    /// generation moved since the last build; returns whether it
+    /// rebuilt. Records paths.index.* metrics (builds/rebuilds/build_ns
+    /// on a rebuild, hits on a served query).
+    bool ensure(const ledger::LedgerState& ledger);
 
     /// The CSR table for `currency`, or nullptr when no trust line in
     /// that currency exists (partitions are sorted by currency).

@@ -405,6 +405,13 @@ TxResult PaymentEngine::apply(const Transaction& tx) {
             break;
         }
         case ledger::TxType::kTrustSet: {
+            // Fail closed: a line needs two distinct, existing endpoints
+            // (LedgerState::set_trust's precondition).
+            if (ledger_->account(tx.sender) == nullptr ||
+                ledger_->account(tx.trust_peer) == nullptr ||
+                tx.sender == tx.trust_peer) {
+                break;
+            }
             ledger_->set_trust(tx.sender, tx.trust_peer, tx.trust_currency,
                                tx.trust_limit);
             result.success = true;

@@ -23,7 +23,9 @@ public:
         : ledger_(&ledger) {}
 
     /// Mark an account as removed: it will not be offered as a
-    /// neighbor, endpoint checks are the caller's job.
+    /// neighbor, endpoint checks are the caller's job. An account that
+    /// does not exist yet is excluded too, from the index rebuild that
+    /// follows its creation on.
     void exclude(const ledger::AccountID& account);
     void clear_exclusions() noexcept;
     [[nodiscard]] bool is_excluded(const ledger::AccountID& account) const {
@@ -46,20 +48,22 @@ public:
 
     /// The CSR index, rebuilt here if the ledger topology moved since
     /// the last query. Exclusions never invalidate it (they are
-    /// visit-time filters), and neither do balance/limit updates.
-    [[nodiscard]] const GraphIndex& index() const {
-        index_.ensure(*ledger_);
-        return index_;
-    }
+    /// visit-time filters), and neither do balance/limit updates. A
+    /// rebuild re-stamps the exclusions, since a topology move may have
+    /// created an excluded account.
+    [[nodiscard]] const GraphIndex& index() const;
 
     [[nodiscard]] const ledger::LedgerState& ledger() const noexcept { return *ledger_; }
 
 private:
+    void stamp(const ledger::AccountID& account) const;
+
     const ledger::LedgerState* ledger_;
     std::unordered_set<ledger::AccountID> excluded_;
     /// excluded_stamp_[i] == exclusion_epoch_ means account index i is
     /// excluded. clear_exclusions() bumps the epoch: O(1), no rewrite.
-    std::vector<std::uint64_t> excluded_stamp_;
+    /// Written through const index() when a rebuild re-stamps.
+    mutable std::vector<std::uint64_t> excluded_stamp_;
     std::uint64_t exclusion_epoch_ = 1;
     mutable GraphIndex index_;
 };

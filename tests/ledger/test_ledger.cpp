@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace xrpl::ledger {
 namespace {
 
@@ -91,6 +93,38 @@ TEST_F(LedgerStateTest, AdjacencyTracksBothEndpoints) {
     EXPECT_EQ(state_.lines_of(bob_).size(), 1u);
     EXPECT_EQ(state_.lines_of(gateway_).size(), 2u);
     EXPECT_TRUE(state_.lines_of(AccountID::from_seed("ghost")).empty());
+}
+
+TEST_F(LedgerStateTest, LinesOfUnknownAccountIsEmpty) {
+    state_.set_trust(alice_, gateway_, usd_, IouAmount::from_double(10.0));
+    EXPECT_TRUE(state_.lines_of(AccountID::from_seed("nobody")).empty());
+    EXPECT_TRUE(state_.lines_of(bob_).empty());
+    EXPECT_TRUE(state_.lines_of_index(state_.account(bob_)->index).empty());
+}
+
+TEST_F(LedgerStateTest, LinesRecordEndpointIndicesAndCurrencyIds) {
+    const Currency eur = Currency::from_code("EUR");
+    state_.set_trust(alice_, gateway_, usd_, IouAmount::from_double(10.0));
+    state_.set_trust(bob_, gateway_, eur, IouAmount::from_double(10.0));
+    state_.set_trust(gateway_, bob_, usd_, IouAmount::from_double(10.0));
+    // Currencies are interned in first-use order.
+    ASSERT_EQ(state_.line_currencies(), (std::vector<Currency>{usd_, eur}));
+    for (const AccountID& id : {alice_, bob_, gateway_}) {
+        const std::uint32_t index = state_.account(id)->index;
+        EXPECT_EQ(&state_.lines_of(id), &state_.lines_of_index(index));
+        for (const TrustLine* line : state_.lines_of(id)) {
+            EXPECT_EQ(line->low_index(), state_.account(line->key().low)->index);
+            EXPECT_EQ(line->high_index(), state_.account(line->key().high)->index);
+            EXPECT_EQ(state_.line_currencies().at(line->currency_id()),
+                      line->key().currency);
+        }
+    }
+    // Updating a limit keeps the line and its slots.
+    const TrustLine* line = state_.trustline(bob_, gateway_, eur);
+    EXPECT_EQ(&state_.set_trust(gateway_, bob_, eur, IouAmount::from_double(3.0)),
+              line);
+    EXPECT_EQ(line->currency_id(), 1u);
+    EXPECT_EQ(state_.line_currencies().size(), 2u);
 }
 
 TEST_F(LedgerStateTest, SeparateCurrenciesSeparateLines) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 namespace xrpl::node {
 namespace {
@@ -184,6 +185,57 @@ TEST_F(NodeTest, IouPaymentsWorkThroughTheNode) {
                                Currency::from_code("USD"))
                     ->balance_for(AccountID::from_seed("bob"))
                     .to_double(),
+                50.0, 1e-9);
+}
+
+TEST_F(NodeTest, BadTrustSetIsSealedAsFailureAndLeavesLedgerIntact) {
+    // A TrustSet towards an account with no AccountRoot, and one with
+    // sender == peer, are sealed as failures and create no line; an
+    // IOU payment in the next page still routes.
+    const AccountID alice = AccountID::from_seed("alice");
+    const AccountID bob = AccountID::from_seed("bob");
+    const AccountID gateway = AccountID::from_seed("gw");
+    const Currency usd = Currency::from_code("USD");
+    state_.create_account(gateway, XrpAmount::from_xrp(10'000), true);
+    ledger::TrustLine& line =
+        state_.set_trust(alice, gateway, usd, ledger::IouAmount::from_double(1'000));
+    ASSERT_TRUE(line.transfer_from(gateway, ledger::IouAmount::from_double(200)));
+    state_.set_trust(bob, gateway, usd, ledger::IouAmount::from_double(1'000));
+    const std::size_t lines = state_.trustline_count();
+    const std::uint64_t generation = state_.topology_generation();
+
+    Node node(state_, healthy_unl(), default_config());
+    for (const auto& [sender, peer] :
+         {std::pair{alice, AccountID::from_seed("ghost")}, std::pair{bob, bob}}) {
+        Transaction trust;
+        trust.type = ledger::TxType::kTrustSet;
+        trust.sender = sender;
+        trust.trust_peer = peer;
+        trust.trust_currency = usd;
+        trust.trust_limit = ledger::IouAmount::from_double(10);
+        node.submit(trust);
+    }
+    const RoundReport trust_round = node.run_round();
+    ASSERT_TRUE(trust_round.outcome.main_closed);
+    ASSERT_EQ(trust_round.applied.size(), 2u);
+    EXPECT_FALSE(trust_round.applied[0].success);
+    EXPECT_FALSE(trust_round.applied[1].success);
+    EXPECT_EQ(node.chain().last().tx_ids.size(), 2u);
+    EXPECT_EQ(state_.trustline_count(), lines);
+    EXPECT_EQ(state_.topology_generation(), generation);
+    EXPECT_EQ(state_.account(AccountID::from_seed("ghost")), nullptr);
+
+    Transaction pay;
+    pay.type = ledger::TxType::kPayment;
+    pay.sender = alice;
+    pay.destination = bob;
+    pay.amount = Amount::iou(usd, 50.0);
+    pay.source_currency = usd;
+    node.submit(pay);
+    const RoundReport pay_round = node.run_round();
+    ASSERT_EQ(pay_round.applied.size(), 1u);
+    EXPECT_TRUE(pay_round.applied[0].success);
+    EXPECT_NEAR(state_.trustline(bob, gateway, usd)->balance_for(bob).to_double(),
                 50.0, 1e-9);
 }
 

@@ -452,5 +452,54 @@ TEST_F(GraphIndexTest, CloneOfCloneKeepsAdjacencyOrderAndIndex) {
     }
 }
 
+/// The ledger's index-space topology: every line's stored endpoint
+/// indices and currency id resolve to its key, and every account's row
+/// is what lines_of() returns.
+void expect_line_slots_match_keys(const LedgerState& ledger) {
+    std::size_t endpoints = 0;
+    for (std::uint32_t i = 0; i < ledger.account_count(); ++i) {
+        const AccountID& id = ledger.account_by_index(i);
+        ASSERT_EQ(&ledger.lines_of(id), &ledger.lines_of_index(i));
+        for (const ledger::TrustLine* line : ledger.lines_of_index(i)) {
+            ASSERT_EQ(line->low_index(), ledger.account(line->key().low)->index);
+            ASSERT_EQ(line->high_index(), ledger.account(line->key().high)->index);
+            ASSERT_TRUE(line->low_index() == i || line->high_index() == i);
+            ASSERT_LT(line->currency_id(), ledger.line_currencies().size());
+            ASSERT_EQ(ledger.line_currencies()[line->currency_id()],
+                      line->key().currency);
+            ++endpoints;
+        }
+    }
+    EXPECT_EQ(endpoints, 2 * ledger.trustline_count());
+    std::vector<Currency> interned = ledger.line_currencies();
+    std::sort(interned.begin(), interned.end());
+    EXPECT_EQ(interned, currencies_of(ledger));
+    EXPECT_TRUE(ledger.lines_of(AccountID::from_seed("not an account")).empty());
+}
+
+TEST_F(GraphIndexTest, LineSlotsMatchEndpointIndicesAcrossClones) {
+    const auto check = [](const LedgerState& base) {
+        {
+            SCOPED_TRACE("base");
+            expect_line_slots_match_keys(base);
+        }
+        const LedgerState once = base.clone();
+        {
+            SCOPED_TRACE("clone");
+            expect_line_slots_match_keys(once);
+        }
+        SCOPED_TRACE("clone of clone");
+        expect_line_slots_match_keys(once.clone());
+    };
+    {
+        SCOPED_TRACE("generated population");
+        check(small_population().ledger);
+    }
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE("random ledger seed " + std::to_string(seed));
+        check(random_ledger(seed));
+    }
+}
+
 }  // namespace
 }  // namespace xrpl::paths

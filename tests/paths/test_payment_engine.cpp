@@ -432,6 +432,45 @@ TEST_F(PaymentEngineTest, ApplyDispatchesTrustSetAndOffer) {
     EXPECT_EQ(state_.offer_count(), 1u);
 }
 
+/// A TrustSet whose line could not live in index space (an endpoint
+/// without an AccountRoot, or a self-loop) fails closed: no line, no
+/// topology move, and the next path search runs on an intact graph.
+TEST_F(PaymentEngineTest, ApplyRejectsTrustSetWithoutTwoDistinctAccounts) {
+    const AccountID gateway = add("gateway");
+    const AccountID a = add("a");
+    const AccountID b = add("b");
+    fund(gateway, a, kUsd, 50.0);
+    edge(gateway, b, kUsd, 1e9);
+    PaymentEngine engine(state_);
+    const AccountID stranger = AccountID::from_seed("stranger");
+
+    const auto trust_set = [&](const AccountID& sender, const AccountID& peer) {
+        ledger::Transaction tx;
+        tx.type = ledger::TxType::kTrustSet;
+        tx.sender = sender;
+        tx.trust_peer = peer;
+        tx.trust_currency = kUsd;
+        tx.trust_limit = IouAmount::from_double(10.0);
+        return tx;
+    };
+    const std::size_t lines = state_.trustline_count();
+    const std::uint64_t generation = state_.topology_generation();
+    EXPECT_FALSE(engine.apply(trust_set(a, stranger)).success);
+    EXPECT_FALSE(engine.apply(trust_set(stranger, a)).success);
+    EXPECT_FALSE(engine.apply(trust_set(a, a)).success);
+    EXPECT_EQ(state_.trustline_count(), lines);
+    EXPECT_EQ(state_.topology_generation(), generation);
+    EXPECT_EQ(state_.account(stranger), nullptr);
+    EXPECT_EQ(state_.trustline(a, stranger, kUsd), nullptr);
+    EXPECT_EQ(state_.trustline(a, a, kUsd), nullptr);
+
+    // An IOU payment afterwards builds the index and routes as usual.
+    const ledger::TxResult paid =
+        engine.execute(request(a, b, kUsd, 5.0));
+    EXPECT_TRUE(paid.success);
+    EXPECT_EQ(paid.intermediate_hops, 1u);
+}
+
 TEST_F(PaymentEngineTest, ApplyAccountCreateActivatesAccount) {
     const AccountID a = add("a");
     const AccountID fresh = AccountID::from_seed("fresh");

@@ -78,6 +78,27 @@ TEST_F(TrustGraphTest, ExclusionHidesNeighbors) {
     EXPECT_TRUE(reachable(graph, a_, c_));
 }
 
+TEST_F(TrustGraphTest, ExclusionOfAccountCreatedLaterHidesIt) {
+    TrustGraph graph(state_);
+    ASSERT_TRUE(reachable(graph, a_, b_));  // index built before m exists
+    const AccountID m = AccountID::from_seed("m");
+    graph.exclude(m);
+    EXPECT_TRUE(graph.is_excluded(m));
+
+    // a -> m -> c is the only route to c.
+    state_.create_account(m, ledger::XrpAmount::from_xrp(10.0), false,
+                          /*allows_rippling=*/true);
+    state_.set_trust(m, a_, usd_, IouAmount::from_double(50.0));
+    state_.set_trust(c_, m, usd_, IouAmount::from_double(50.0));
+    EXPECT_FALSE(reachable(graph, a_, c_));
+    EXPECT_TRUE(graph.is_excluded_index(index_of(m)));
+    EXPECT_FALSE(graph.is_excluded_index(index_of(a_)));
+
+    graph.clear_exclusions();
+    EXPECT_FALSE(graph.is_excluded_index(index_of(m)));
+    EXPECT_TRUE(reachable(graph, a_, c_));
+}
+
 TEST_F(TrustGraphTest, ExhaustedCapacityRemovesEdge) {
     ledger::TrustLine* line = state_.trustline(a_, b_, usd_);
     ASSERT_TRUE(line->transfer_from(a_, IouAmount::from_double(100.0)));
