@@ -105,7 +105,7 @@ void BM_Fingerprint(benchmark::State& state) {
 BENCHMARK(BM_Fingerprint);
 
 // IG over the columnar store: one batched fingerprint pass with
-// per-account and per-currency precomputation.
+// per-account and per-currency precomputation, then the IG kernel.
 void BM_InformationGainColumnar(benchmark::State& state) {
     const auto records = make_records(static_cast<std::size_t>(state.range(0)));
     const ledger::PaymentColumns columns =
@@ -146,8 +146,8 @@ void BM_InformationGainColumnarThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_InformationGainColumnarThreads)->Apply(ThreadSweepArgs);
 
-// The full ten-configuration Fig 3 grid — the acceptance target for
-// the chunked runtime (configs x chunks on one flat task grid).
+// The full ten-configuration Fig 3 study: one configuration at a time,
+// a chunk-parallel fingerprint pass and then the shared IG kernel.
 void BM_IgStudyThreads(benchmark::State& state) {
     const auto records = make_records(250'000);
     const ledger::PaymentColumns columns =

@@ -3,6 +3,7 @@
 #include <unordered_set>
 
 #include "core/fingerprint.hpp"
+#include "core/ig_kernel.hpp"
 
 namespace xrpl::core {
 
@@ -72,36 +73,26 @@ AccountClusters cluster_by_activation(std::span<const ActivationEdge> edges) {
 IgResult clustered_information_gain(ledger::PaymentView view,
                                     const ResolutionConfig& config,
                                     const AccountClusters& clusters) {
-    const std::vector<std::uint64_t> fingerprints = fingerprint_column(view, config);
     const ledger::PaymentColumns& columns = view.columns();
-
-    // Resolve each interned sender to its entity once, not per payment.
-    std::unordered_map<std::uint32_t, ledger::AccountID> entity_of;
-    struct Bucket {
-        ledger::AccountID entity;
-        bool multi = false;
-    };
-    std::unordered_map<std::uint64_t, Bucket> buckets;
-    buckets.reserve(fingerprints.size());
-
-    for (std::size_t i = 0; i < fingerprints.size(); ++i) {
+    // Each cluster representative gets a dense id, resolved once per
+    // interned sender; that id is the owner the IG kernel compares.
+    constexpr std::uint32_t kUnresolved = UINT32_MAX;
+    std::vector<std::uint32_t> entity_of_sender(columns.accounts.size(),
+                                                kUnresolved);
+    std::unordered_map<ledger::AccountID, std::uint32_t> entity_id;
+    std::vector<std::uint32_t> entities(view.size());
+    for (std::size_t i = 0; i < view.size(); ++i) {
         const std::uint32_t sender = columns.sender_id[view.offset() + i];
-        auto [cached, fresh] = entity_of.try_emplace(sender);
-        if (fresh) {
-            cached->second = clusters.representative(columns.accounts.at(sender));
+        std::uint32_t& entity = entity_of_sender[sender];
+        if (entity == kUnresolved) {
+            const ledger::AccountID root =
+                clusters.representative(columns.accounts.at(sender));
+            const auto next = static_cast<std::uint32_t>(entity_id.size());
+            entity = entity_id.try_emplace(root, next).first->second;
         }
-        const ledger::AccountID& entity = cached->second;
-        auto [it, inserted] =
-            buckets.try_emplace(fingerprints[i], Bucket{entity, false});
-        if (!inserted && !(it->second.entity == entity)) it->second.multi = true;
+        entities[i] = entity;
     }
-
-    IgResult result;
-    result.total_payments = fingerprints.size();
-    for (const std::uint64_t fp : fingerprints) {
-        if (!buckets.at(fp).multi) ++result.uniquely_identified;
-    }
-    return result;
+    return count_identified(fingerprint_column(view, config), entities);
 }
 
 }  // namespace xrpl::core

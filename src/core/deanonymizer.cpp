@@ -4,7 +4,7 @@
 #include <optional>
 #include <unordered_set>
 
-#include "core/ig_accumulator.hpp"
+#include "core/ig_kernel.hpp"
 #include "exec/chunked_view.hpp"
 #include "exec/parallel.hpp"
 #include "util/contract.hpp"
@@ -16,21 +16,9 @@ const std::vector<std::uint32_t> kNoMatches;
 }  // namespace
 
 IgResult Deanonymizer::information_gain(const ResolutionConfig& config) const {
-    // Chunk-parallel map (fingerprint + bucket each chunk on the
-    // pool), then the ordered associative merge — identical counts for
-    // every thread count; see ig_accumulator.hpp.
-    const FingerprintPlan plan(view_.columns(), config);
-    const exec::ChunkedView chunks(view_);
-    const IgPartial merged = exec::map_reduce<IgPartial>(
-        chunks.chunk_count(),
-        [&](std::size_t c) {
-            const exec::ChunkedView::Bounds b = chunks.bounds(c);
-            return ig_map_chunk(view_, plan, b.begin, b.end);
-        },
-        [](IgPartial& acc, IgPartial&& part) {
-            ig_reduce(acc, std::move(part));
-        });
-    return ig_finalize(merged);
+    const std::span<const std::uint32_t> senders =
+        std::span(view_.columns().sender_id).subspan(view_.offset(), view_.size());
+    return count_identified(fingerprint_column(view_, config), senders);
 }
 
 std::vector<ledger::AccountID> Deanonymizer::attack(

@@ -50,8 +50,8 @@ public:
         : view_(payments.view()) {}
     explicit Deanonymizer(ledger::PaymentView view) noexcept : view_(view) {}
 
-    /// Fig 3's IG for one resolution configuration. O(n) time,
-    /// O(#distinct fingerprints) memory.
+    /// Fig 3's IG for one resolution configuration (ig_kernel.hpp, the
+    /// senders as owners). O(n log n) time, under 24 B per payment.
     [[nodiscard]] IgResult information_gain(const ResolutionConfig& config) const;
 
     /// All candidate senders matching an observed payment at the given

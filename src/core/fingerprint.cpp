@@ -153,22 +153,29 @@ void FingerprintPlan::rows(std::size_t begin, std::size_t end,
 
 std::vector<std::uint64_t> fingerprint_column(const ledger::PaymentView& view,
                                               const ResolutionConfig& config) {
+    std::vector<std::uint64_t> fingerprints(view.size());
+    fingerprint_column(view, config, fingerprints);
+    return fingerprints;
+}
+
+void fingerprint_column(const ledger::PaymentView& view,
+                        const ResolutionConfig& config,
+                        std::span<std::uint64_t> out) {
     const std::size_t offset = view.offset();
     const std::size_t n = view.size();
-    std::vector<std::uint64_t> fingerprints(n);
-    if (n == 0) return fingerprints;
+    XRPL_ASSERT(out.size() == n, "fingerprint output must have one slot per row");
+    if (n == 0) return;
     XRPL_ASSERT(offset + n <= view.columns().size(),
                 "payment view window must lie inside its columns");
 
     const FingerprintPlan plan(view.columns(), config);
-    // Chunks write disjoint slices of one output vector: bit-identical
+    // Chunks write disjoint slices of one output column: bit-identical
     // for every thread count, no merge step needed.
     exec::parallel_for(n, exec::kDefaultChunkRows,
                        [&](std::size_t begin, std::size_t end) {
                            plan.rows(offset + begin, offset + end,
-                                     fingerprints.data() + begin);
+                                     out.data() + begin);
                        });
-    return fingerprints;
 }
 
 }  // namespace xrpl::core

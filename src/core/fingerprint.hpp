@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/features.hpp"
@@ -53,6 +54,12 @@ private:
 /// so the result is thread-count independent by construction).
 [[nodiscard]] std::vector<std::uint64_t> fingerprint_column(
     const ledger::PaymentView& view, const ResolutionConfig& config);
+
+/// The same column written into `out` (one slot per row of `view`), so
+/// a caller scanning many configurations can reuse one buffer.
+void fingerprint_column(const ledger::PaymentView& view,
+                        const ResolutionConfig& config,
+                        std::span<std::uint64_t> out);
 
 /// The precomputed per-configuration context fingerprint_column
 /// amortizes: destination hash words (each distinct account folded

@@ -1,10 +1,8 @@
 #include "core/ig_study.hpp"
 
-#include "core/ig_accumulator.hpp"
-#include "exec/chunked_view.hpp"
-#include "exec/thread_pool.hpp"
+#include "core/fingerprint.hpp"
+#include "core/ig_kernel.hpp"
 #include "obs/phase.hpp"
-#include "util/contract.hpp"
 
 namespace xrpl::core {
 
@@ -71,46 +69,20 @@ std::vector<IgStudyRow> run_ig_study(const ledger::PaymentColumns& payments) {
 
 std::vector<IgStudyRow> run_ig_study(ledger::PaymentView view) {
     const obs::Phase phase("core.ig_study");
-    // The whole study is one flat (configuration x chunk) task grid:
-    // chunks parallelize within a configuration, configurations
-    // parallelize against each other, and the pool load-balances
-    // across both dimensions at once — no per-config barrier. The
-    // per-config fingerprint plans are built up front (cheap: one
-    // pass over the two dictionary tables each) and shared read-only
-    // by every chunk task of that configuration.
+    // One configuration at a time: fingerprint the view chunk-parallel
+    // into one reused column, then hand it to the shared IG kernel.
+    // Holding a single configuration's transient keeps the study's
+    // peak at the kernel's bound, not ten times it.
     const std::vector<ResolutionConfig> configs = fig3_configurations();
-    const exec::ChunkedView chunks(view);
-    const std::size_t k = chunks.chunk_count();
-
-    std::vector<FingerprintPlan> plans;
-    plans.reserve(configs.size());
+    const std::span<const std::uint32_t> senders =
+        std::span(view.columns().sender_id).subspan(view.offset(), view.size());
+    std::vector<std::uint64_t> fingerprints(view.size());
+    std::vector<IgResult> results;
+    results.reserve(configs.size());
     for (const ResolutionConfig& config : configs) {
-        plans.emplace_back(view.columns(), config);
+        fingerprint_column(view, config, fingerprints);
+        results.push_back(count_identified(fingerprints, senders));
     }
-
-    std::vector<std::vector<IgPartial>> partials(configs.size());
-    for (std::vector<IgPartial>& per_config : partials) per_config.resize(k);
-    exec::ThreadPool::shared().run(configs.size() * k, [&](std::size_t t) {
-        const std::size_t config = t / k;
-        const std::size_t chunk = t % k;
-        const exec::ChunkedView::Bounds b = chunks.bounds(chunk);
-        partials[config][chunk] = ig_map_chunk(view, plans[config], b.begin, b.end);
-    });
-
-    // Per-configuration ordered folds, themselves parallel across
-    // configurations (each fold is independent, and within one
-    // configuration partials merge strictly in chunk order).
-    std::vector<IgResult> results(configs.size());
-    exec::ThreadPool::shared().run(configs.size(), [&](std::size_t config) {
-        IgPartial merged;
-        std::size_t folded = 0;
-        for (std::size_t c = 0; c < k; ++c) {
-            XRPL_INVARIANT(folded == c, "partials must merge in chunk order");
-            ig_reduce(merged, std::move(partials[config][c]));
-            ++folded;
-        }
-        results[config] = ig_finalize(merged);
-    });
     return attach_paper_references(std::move(results), configs);
 }
 

@@ -32,9 +32,10 @@ struct PaperReference {
 };
 [[nodiscard]] PaperReference fig3_paper_reference(std::size_t index) noexcept;
 
-/// Run the whole study over a payment history: one batched
-/// fingerprint pass per configuration, chunk-parallel on the shared
-/// pool, identical results at every thread count.
+/// Run the whole study over a payment history, one configuration at a
+/// time through one reused fingerprint column and the shared IG kernel
+/// (ig_kernel.hpp): identical results at every thread count, and under
+/// 24 B per payment of transient memory.
 [[nodiscard]] std::vector<IgStudyRow> run_ig_study(
     const ledger::PaymentColumns& payments);
 [[nodiscard]] std::vector<IgStudyRow> run_ig_study(ledger::PaymentView view);

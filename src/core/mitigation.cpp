@@ -3,6 +3,7 @@
 #include <string>
 
 #include "core/fingerprint.hpp"
+#include "core/ig_kernel.hpp"
 
 namespace xrpl::core {
 
@@ -68,29 +69,8 @@ RotatedColumns apply_wallet_rotation(
 
 IgResult linked_information_gain(const RotatedColumns& rotated,
                                  const ResolutionConfig& config) {
-    const std::vector<std::uint64_t> fingerprints =
-        fingerprint_column(rotated.payments.view(), config);
-
-    struct Bucket {
-        std::uint32_t owner;
-        bool multi = false;
-    };
-    std::unordered_map<std::uint64_t, Bucket> buckets;
-    buckets.reserve(fingerprints.size());
-
-    for (std::size_t i = 0; i < fingerprints.size(); ++i) {
-        const std::uint32_t owner = rotated.owner_id[i];
-        auto [it, inserted] =
-            buckets.try_emplace(fingerprints[i], Bucket{owner, false});
-        if (!inserted && it->second.owner != owner) it->second.multi = true;
-    }
-
-    IgResult result;
-    result.total_payments = fingerprints.size();
-    for (const std::uint64_t fp : fingerprints) {
-        if (!buckets.at(fp).multi) ++result.uniquely_identified;
-    }
-    return result;
+    return count_identified(fingerprint_column(rotated.payments.view(), config),
+                            rotated.owner_id);
 }
 
 MitigationReport evaluate_wallet_rotation(

@@ -1,13 +1,14 @@
 // Fixed-size chunking of a columnar payment window.
 //
-// Every whole-dataset scan (Fig 3's IG, the Fig 4–7 analytics, the
-// attack index build) runs as: map each chunk to a chunk-local
-// partial on the pool, then merge the partials IN CHUNK ORDER on the
-// calling thread. ChunkedView provides the first half of that
-// contract: a deterministic partition of [0, view.size()) into
-// contiguous runs of at most `chunk_rows` rows — the partition
-// depends only on the view size and the chunk size, never on the
-// thread count, which is what makes the ordered merge reproducible.
+// The ordered whole-dataset scans (the Fig 4–7 analytics, the attack
+// index build) run as: map each chunk to a chunk-local partial on the
+// pool, then merge the partials IN CHUNK ORDER on the calling thread.
+// (Fig 3's IG needs no merge order: see core/ig_kernel.hpp.)
+// ChunkedView provides the first half of that contract: a
+// deterministic partition of [0, view.size()) into contiguous runs of
+// at most `chunk_rows` rows — the partition depends only on the view
+// size and the chunk size, never on the thread count, which is what
+// makes the ordered merge reproducible.
 #pragma once
 
 #include <cstddef>
@@ -17,11 +18,11 @@
 
 namespace xrpl::exec {
 
-/// Default rows per chunk. Large enough that per-chunk hash maps and
+/// Default rows per chunk. Large enough that per-chunk partials and
 /// scheduling amortize to noise (a task is ~8k rows of hashing, a
 /// claim is one mutex round-trip), small enough that the default
-/// 250k-payment bench dataset still splits ~31 ways — and the ten
-/// Fig 3 configurations × chunks grid keeps every worker busy.
+/// 250k-payment bench dataset still splits ~31 ways and keeps every
+/// worker busy.
 inline constexpr std::size_t kDefaultChunkRows = 8192;
 
 class ChunkedView {
