@@ -4,13 +4,16 @@
 // payments per second at each width, as JSON (one object, stdout).
 // The sharded generator must scale — the ISSUE's acceptance bar is
 // >= 3x at 8 threads — while staying byte-identical at every width;
-// the sweep asserts the identical part too (sizes + last close), so
-// a perf regression can't hide behind a silent output drift.
+// the sweep asserts the identical part too (size, last close and the
+// columns_fingerprint of the whole history), so a perf regression
+// can't hide behind a silent output drift. The JSON carries the
+// fingerprint and last close, so a CI baseline can pin them.
 //
 // Knobs: XRPL_BENCH_DATAGEN_PAYMENTS (default 100,000) sizes the
 // history; the slice width is fixed at target/16 so even the widest
 // pool has two slices per worker to balance.
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -42,6 +45,7 @@ XRPL_BENCH("ext_datagen_scaling", "Extension",
     std::vector<Point> points;
     std::size_t baseline_payments = 0;
     std::int64_t baseline_close = 0;
+    std::string baseline_fingerprint;
 
     for (const std::size_t width : {1u, 2u, 4u, 8u}) {
         exec::ScopedParallelism pool(width);
@@ -49,11 +53,15 @@ XRPL_BENCH("ext_datagen_scaling", "Extension",
         const datagen::GeneratedHistory history =
             datagen::generate_history(config);
         const double seconds = watch.elapsed_seconds();
+        const std::string fingerprint =
+            ledger::columns_fingerprint(history.payments);
         if (width == 1) {
             baseline_payments = history.payments.size();
             baseline_close = history.last_close.seconds;
+            baseline_fingerprint = fingerprint;
         } else if (history.payments.size() != baseline_payments ||
-                   history.last_close.seconds != baseline_close) {
+                   history.last_close.seconds != baseline_close ||
+                   fingerprint != baseline_fingerprint) {
             std::cerr << "FATAL: output drifted at width " << width << "\n";
             return 1;
         }
@@ -66,6 +74,8 @@ XRPL_BENCH("ext_datagen_scaling", "Extension",
     std::cout << "{\n"
               << "  \"bench\": \"ext_datagen_scaling\",\n"
               << "  \"payments\": " << baseline_payments << ",\n"
+              << "  \"fingerprint\": \"" << baseline_fingerprint << "\",\n"
+              << "  \"last_close\": " << baseline_close << ",\n"
               << "  \"payments_per_slice\": " << config.payments_per_slice
               << ",\n"
               << "  \"results\": [\n";

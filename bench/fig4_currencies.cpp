@@ -14,8 +14,8 @@ XRPL_BENCH("fig4_currencies", "Fig 4",
     // Cacheable payments + cheap population rebuild — no full history.
     const ledger::PaymentColumns& payments = bench::dataset_payments();
 
-    // Chunk-parallel scan of the currency column (identical to the
-    // streamed history.currency_counts — pinned by test_determinism).
+    // Chunk-parallel scan of the currency column (identical to a
+    // row-by-row count — pinned by test_determinism).
     const auto ranked = analytics::rank_currencies(payments.view());
     std::vector<util::Bar> bars;
     for (const analytics::CurrencyCount& row : ranked) {

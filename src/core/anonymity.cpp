@@ -1,9 +1,10 @@
 #include "core/anonymity.hpp"
 
-#include <unordered_map>
-#include <unordered_set>
+#include <span>
 
 #include "core/fingerprint.hpp"
+#include "core/ig_kernel.hpp"
+#include "obs/phase.hpp"
 
 namespace xrpl::core {
 
@@ -33,38 +34,28 @@ double AnonymityProfile::mean_set_size() const noexcept {
 
 std::uint32_t AnonymityProfile::set_size_quantile(double fraction) const noexcept {
     if (total_ == 0) return 0;
-    const auto threshold = static_cast<std::uint64_t>(
-        fraction * static_cast<double>(total_));
+    // Compared in doubles: truncating fraction * total to an integer
+    // would accept a k that covers slightly less than `fraction`.
+    const double threshold = fraction * static_cast<double>(total_);
     std::uint64_t covered = 0;
     for (const auto& [size, payments] : histogram_) {
         covered += payments;
-        if (covered >= threshold) return size;
+        if (static_cast<double>(covered) >= threshold) return size;
     }
     return histogram_.empty() ? 0 : histogram_.rbegin()->first;
 }
 
 AnonymityProfile analyze_anonymity(ledger::PaymentView view,
                                    const ResolutionConfig& config) {
+    const obs::Phase phase("core.anonymity");
     const std::vector<std::uint64_t> fingerprints = fingerprint_column(view, config);
-    const ledger::PaymentColumns& columns = view.columns();
-    const std::size_t offset = view.offset();
-
-    struct Bucket {
-        std::uint64_t payments = 0;
-        std::unordered_set<std::uint32_t> senders;
-    };
-    std::unordered_map<std::uint64_t, Bucket> buckets;
-    buckets.reserve(fingerprints.size());
-    for (std::size_t i = 0; i < fingerprints.size(); ++i) {
-        Bucket& bucket = buckets[fingerprints[i]];
-        ++bucket.payments;
-        bucket.senders.insert(columns.sender_id[offset + i]);
-    }
+    const std::vector<std::uint64_t> rows = rows_by_set_size(
+        fingerprints,
+        std::span(view.columns().sender_id).subspan(view.offset(), view.size()));
 
     AnonymityProfile profile;
-    for (const auto& [fp, bucket] : buckets) {
-        profile.add(static_cast<std::uint32_t>(bucket.senders.size()),
-                    bucket.payments);
+    for (std::size_t size = 1; size < rows.size(); ++size) {
+        if (rows[size] != 0) profile.add(static_cast<std::uint32_t>(size), rows[size]);
     }
     return profile;
 }

@@ -47,7 +47,8 @@ private:
 };
 
 /// Analyze the whole history under `config`: one batched fingerprint
-/// pass, distinct senders counted as interned u32 ids.
+/// pass, then the IG kernel's partitioned sort counts the distinct
+/// senders (interned u32 ids) behind each fingerprint.
 [[nodiscard]] AnonymityProfile analyze_anonymity(ledger::PaymentView view,
                                                  const ResolutionConfig& config);
 

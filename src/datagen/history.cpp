@@ -17,17 +17,15 @@ using paths::PaymentRequest;
 
 namespace {
 
-/// Everything one generation slice produces. Records carry SLICE-LOCAL
-/// close times (epoch 0); the merge rebases them onto the global
-/// timeline. Aggregates are pre-reduced per slice so the merge is a
-/// cheap order-independent sum — only the record stream and the
-/// per-currency amount samples are order-sensitive, and those merge
-/// strictly in slice order.
+/// Everything one generation slice produces. Payments carry SLICE-LOCAL
+/// close times (epoch 0) and slice-local dictionary ids; the merge
+/// rebases both onto the global history. Aggregates are pre-reduced per
+/// slice so the merge is a cheap order-independent sum — only the
+/// payment columns are order-sensitive, and those append strictly in
+/// slice order.
 struct SliceResult {
-    std::vector<ledger::TxRecord> records;
+    ledger::PaymentColumns payments;
     std::array<std::uint64_t, 8> category_counts{};
-    std::unordered_map<Currency, std::uint64_t> currency_counts;
-    std::unordered_map<Currency, std::vector<float>> amounts_by_currency;
     std::vector<std::uint64_t> hop_histogram;
     std::vector<std::uint64_t> parallel_histogram;
     std::unordered_map<ledger::AccountID, std::uint64_t> intermediary_counts;
@@ -62,6 +60,7 @@ SliceResult run_slice(const GeneratorConfig& config,
     static obs::Histogram& slice_ns = obs::histogram("datagen.slice_ns");
     const obs::ScopedTimer timer(slice_ns);
     SliceResult out;
+    out.payments.reserve(slice_target);
     ledger::LedgerState ledger = base.clone();
     paths::PaymentEngine engine(ledger);
     const util::RngStream slice_stream =
@@ -73,12 +72,8 @@ SliceResult run_slice(const GeneratorConfig& config,
     util::Rng clock_rng = slice_stream.derive("clock").rng();
 
     auto sink = [&](const WorkloadOutcome& outcome) {
-        out.records.push_back(outcome.record);
+        out.payments.push_back(outcome.record);
         ++out.category_counts[static_cast<std::size_t>(outcome.category)];
-
-        ++out.currency_counts[outcome.record.currency];
-        out.amounts_by_currency[outcome.record.currency].push_back(
-            static_cast<float>(outcome.record.amount.to_double()));
 
         const ledger::TxResult& result = outcome.result;
         if (result.intermediate_hops >= 1) {
@@ -104,7 +99,7 @@ SliceResult run_slice(const GeneratorConfig& config,
     };
 
     util::RippleTime clock{};  // slice-local epoch; rebased at merge
-    while (out.records.size() < slice_target) {
+    while (out.payments.size() < slice_target) {
         clock.seconds += static_cast<std::int64_t>(
             config.page_interval_seconds + clock_rng.uniform(-0.5, 1.5));
         workload.emit_page(clock, sink);
@@ -172,10 +167,10 @@ GeneratedHistory generate_history(const GeneratorConfig& config) {
     }
 
     // --- stage 2: ordered merge ---------------------------------------
-    // Strictly in slice order: records are rebased onto the global
-    // timeline and interned into PaymentColumns sequentially (so the
-    // dictionary keeps first-seen order), amount samples append, and
-    // the pre-reduced aggregates sum.
+    // Strictly in slice order: each slice's columns append (its
+    // dictionaries interned in slice-local id order, so the global
+    // dictionaries keep first-seen order), its close times shift onto
+    // the global timeline, and the pre-reduced aggregates sum.
     const obs::Phase merge_stage("merge");
     static obs::Counter& slices_done = obs::counter("datagen.slices");
     static obs::Counter& payments = obs::counter("datagen.payments");
@@ -185,23 +180,18 @@ GeneratedHistory generate_history(const GeneratorConfig& config) {
     std::int64_t offset = config.start_time.seconds;
     for (SliceResult& slice : slices) {
         slices_done.add();
-        payments.add(slice.records.size());
+        payments.add(slice.payments.size());
         pages.add(slice.pages);
-        for (ledger::TxRecord record : slice.records) {
-            record.time.seconds += offset;
-            history.payments.push_back(record);
+        const std::size_t first_row = history.payments.size();
+        history.payments.append(slice.payments);
+        slice.payments = {};
+        for (std::size_t i = first_row; i < history.payments.size(); ++i) {
+            history.payments.time_seconds[i] += offset;
         }
         offset += slice.duration_seconds;
 
         for (std::size_t c = 0; c < slice.category_counts.size(); ++c) {
             history.category_counts[c] += slice.category_counts[c];
-        }
-        for (const auto& [currency, count] : slice.currency_counts) {
-            history.currency_counts[currency] += count;
-        }
-        for (auto& [currency, amounts] : slice.amounts_by_currency) {
-            auto& into = history.amounts_by_currency[currency];
-            into.insert(into.end(), amounts.begin(), amounts.end());
         }
         add_histogram(history.hop_histogram, slice.hop_histogram);
         add_histogram(history.parallel_histogram, slice.parallel_histogram);

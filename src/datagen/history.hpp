@@ -7,12 +7,11 @@
 // each slice clones the snapshot, draws from streams derived from
 // root/"slice"/i, and its shard merges strictly in slice order — so
 // output is bit-identical for every XRPL_THREADS width. Collects
-// everything the study and the appendix figures consume: the compact
-// TxRecord rows (Fig 3), per-currency counts and amount samples
-// (Fig 4, Fig 5), hop and parallel-path histograms (Fig 6),
-// per-intermediary appearance counts (Fig 7(a)), and the final ledger
-// state (trust and balances for Fig 7(b,c), the snapshot for
-// Table II).
+// everything the study and the appendix figures consume: the payment
+// columns (Fig 3, and the currency and amount scans of Fig 4, Fig 5),
+// hop and parallel-path histograms (Fig 6), per-intermediary
+// appearance counts (Fig 7(a)), and the final ledger state (trust and
+// balances for Fig 7(b,c), the snapshot for Table II).
 #pragma once
 
 #include <array>
@@ -36,9 +35,7 @@ struct GeneratedHistory {
     /// Row-shaped consumers iterate payments.view() (zero-copy).
     ledger::PaymentColumns payments;
 
-    // --- aggregates, filled while the history streams past -----------
-    std::unordered_map<ledger::Currency, std::uint64_t> currency_counts;
-    std::unordered_map<ledger::Currency, std::vector<float>> amounts_by_currency;
+    // --- aggregates the columns cannot reconstruct ---------------------
     /// hop_histogram[h] = payments routed through exactly h
     /// intermediate accounts (h >= 1; direct transfers not counted).
     std::vector<std::uint64_t> hop_histogram;

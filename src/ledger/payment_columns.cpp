@@ -49,6 +49,21 @@ void PaymentColumns::reserve(std::size_t n) {
     time_seconds.reserve(n);
 }
 
+namespace {
+
+// All six columns describe the same rows; a length skew means some
+// column silently dropped or duplicated a payment.
+void check_equal_length(const PaymentColumns& columns) {
+    XRPL_INVARIANT(columns.dest_id.size() == columns.size() &&
+                       columns.currency_id.size() == columns.size() &&
+                       columns.amount_mantissa.size() == columns.size() &&
+                       columns.amount_exponent.size() == columns.size() &&
+                       columns.time_seconds.size() == columns.size(),
+                   "payment columns must stay equal length");
+}
+
+}  // namespace
+
 void PaymentColumns::push_back(const TxRecord& record) {
     sender_id.push_back(accounts.intern(record.sender));
     dest_id.push_back(accounts.intern(record.destination));
@@ -57,14 +72,39 @@ void PaymentColumns::push_back(const TxRecord& record) {
     // IouAmount exponents live in [-96, 80]: int8_t holds them exactly.
     amount_exponent.push_back(static_cast<std::int8_t>(record.amount.exponent()));
     time_seconds.push_back(record.time.seconds);
-    // All six columns describe the same rows; a length skew means some
-    // column silently dropped or duplicated a payment.
-    XRPL_INVARIANT(dest_id.size() == sender_id.size() &&
-                       currency_id.size() == sender_id.size() &&
-                       amount_mantissa.size() == sender_id.size() &&
-                       amount_exponent.size() == sender_id.size() &&
-                       time_seconds.size() == sender_id.size(),
-                   "payment columns must stay equal length");
+    check_equal_length(*this);
+}
+
+void PaymentColumns::append(const PaymentColumns& other) {
+    XRPL_ASSERT(&other != this, "a store cannot append itself");
+    // push_back interns sender, destination, currency row by row, so an
+    // id's first appearance in `other`'s rows is exactly where `other`
+    // assigned it: interning `other`'s tables in id order adds the new
+    // entries in the order the concatenated rows first show them.
+    std::vector<std::uint32_t> account_remap(other.accounts.size());
+    for (std::size_t i = 0; i < account_remap.size(); ++i) {
+        account_remap[i] =
+            accounts.intern(other.accounts.at(static_cast<std::uint32_t>(i)));
+    }
+    std::vector<std::uint16_t> currency_remap(other.currencies.size());
+    for (std::size_t i = 0; i < currency_remap.size(); ++i) {
+        currency_remap[i] = currencies.intern(
+            other.currencies.at(static_cast<std::uint16_t>(i)));
+    }
+
+    const auto remap_into = [](auto& into, const auto& from, const auto& remap) {
+        for (const auto id : from) into.push_back(remap[id]);
+    };
+    remap_into(sender_id, other.sender_id, account_remap);
+    remap_into(dest_id, other.dest_id, account_remap);
+    remap_into(currency_id, other.currency_id, currency_remap);
+    amount_mantissa.insert(amount_mantissa.end(), other.amount_mantissa.begin(),
+                           other.amount_mantissa.end());
+    amount_exponent.insert(amount_exponent.end(), other.amount_exponent.begin(),
+                           other.amount_exponent.end());
+    time_seconds.insert(time_seconds.end(), other.time_seconds.begin(),
+                        other.time_seconds.end());
+    check_equal_length(*this);
 }
 
 TxRecord PaymentColumns::row(std::size_t i) const noexcept {

@@ -98,6 +98,13 @@ struct PaymentColumns {
     void reserve(std::size_t n);
     void push_back(const TxRecord& record);
 
+    /// Append every row of `other`, as if each were push_back'ed in
+    /// order. `other`'s dictionaries are interned in id order (its own
+    /// first-seen order), so the combined dictionaries keep the
+    /// first-seen order of the concatenated rows; the id columns are
+    /// then copied through the two remap tables.
+    void append(const PaymentColumns& other);
+
     /// Reconstruct row `i` as a TxRecord (one observation).
     [[nodiscard]] TxRecord row(std::size_t i) const noexcept;
 

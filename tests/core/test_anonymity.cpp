@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 
 #include "core/deanonymizer.hpp"
@@ -106,6 +107,22 @@ TEST(AnonymityTest, CoarseningGrowsAnonymitySets) {
     EXPECT_GE(blurred.mean_set_size(), fine.mean_set_size());
     EXPECT_LE(blurred.identifiable_within(1), fine.identifiable_within(1));
     EXPECT_LE(blurred.identifiable_within(5), fine.identifiable_within(5) + 1e-12);
+}
+
+TEST(AnonymityTest, QuantileCoversAtLeastTheFraction) {
+    // Histogram {1: 1, 2: 2}. Set size 1 covers only a third of the
+    // payments, so the median needs set size 2.
+    const std::vector<TxRecord> records = {
+        record("a", "solo", 1.0, 1),
+        record("b", "shop", 100.0, 5),
+        record("c", "shop", 100.0, 5),
+    };
+    const AnonymityProfile profile = analyze(records, full_resolution());
+    ASSERT_EQ(profile.histogram(),
+              (std::map<std::uint32_t, std::uint64_t>{{1, 1}, {2, 2}}));
+    EXPECT_EQ(profile.set_size_quantile(0.5), 2u);
+    EXPECT_EQ(profile.set_size_quantile(1.0 / 3.0), 1u);
+    EXPECT_EQ(profile.set_size_quantile(1.0), 2u);
 }
 
 TEST(AnonymityTest, EmptyHistoryIsSafe) {

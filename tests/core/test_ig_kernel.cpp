@@ -61,6 +61,32 @@ IgResult brute_force(std::span<const std::uint64_t> fingerprints,
     return result;
 }
 
+/// Brute-force anonymity-set histogram: sort the (fingerprint, owner)
+/// pairs, deduplicate, and count each fingerprint's distinct owners.
+std::vector<std::uint64_t> brute_force_set_sizes(
+    std::span<const std::uint64_t> fingerprints,
+    std::span<const std::uint32_t> owners) {
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> rows;
+    for (std::size_t i = 0; i < fingerprints.size(); ++i) {
+        rows.emplace_back(fingerprints[i], owners[i]);
+    }
+    std::sort(rows.begin(), rows.end());
+    std::vector<std::uint64_t> histogram;
+    for (std::size_t first = 0; first < rows.size();) {
+        std::size_t last = first + 1;
+        while (last < rows.size() && rows[last].first == rows[first].first) ++last;
+        std::vector<std::uint32_t> distinct;
+        for (std::size_t i = first; i < last; ++i) distinct.push_back(rows[i].second);
+        distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
+        if (histogram.size() <= distinct.size()) {
+            histogram.resize(distinct.size() + 1, 0);
+        }
+        histogram[distinct.size()] += last - first;
+        first = last;
+    }
+    return histogram;
+}
+
 void expect_same(const IgResult& actual, const IgResult& expected,
                  const std::string& what) {
     EXPECT_EQ(actual.total_payments, expected.total_payments) << what;
@@ -167,6 +193,27 @@ TEST(IgKernelTest, SecondOwnerOnlyInTheLastChunk) {
     expect_kernel_matches(fingerprints, owners, "late second owner");
     EXPECT_EQ(count_identified(fingerprints, owners).uniquely_identified,
               n - rows_of_late_keys);
+}
+
+TEST(IgKernelTest, AnonymitySetHistogramMatchesBruteForce) {
+    std::uint64_t seed = 70;
+    for (const std::size_t n : {20'000u, 50'000u}) {
+        for (const std::size_t distinct : {n / 64, n / 8, n}) {
+            const Columns c = random_columns(n, distinct, seed++);
+            const std::vector<std::uint64_t> expected =
+                brute_force_set_sizes(c.fingerprints, c.owners);
+            ASSERT_GT(expected.size(), 2u) << "runs must reach several owners";
+            EXPECT_EQ(expected[1], brute_force(c.fingerprints, c.owners)
+                                       .uniquely_identified);
+            for (const std::size_t width : {1u, 2u, 8u}) {
+                const exec::ScopedParallelism pool(width);
+                EXPECT_EQ(rows_by_set_size(c.fingerprints, c.owners), expected)
+                    << "n=" << n << " distinct=" << distinct
+                    << " width=" << width;
+            }
+        }
+    }
+    EXPECT_TRUE(rows_by_set_size({}, {}).empty());
 }
 
 /// A history of `n` rows whose features collide often: few

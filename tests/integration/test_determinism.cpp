@@ -5,13 +5,14 @@
 // against a generated history big enough to split into several chunks
 // (20k rows / 8192-row chunks = 3).
 //
-// The second half checks the scans against the aggregates the history
-// builder streams out row by row — the chunked scan of a column must
-// reproduce the serial streaming pass exactly.
+// The second half checks the scans against plain row-by-row passes over
+// payments.row(i) — the chunked scan of a column must reproduce the
+// serial pass exactly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string_view>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -111,7 +112,9 @@ TEST_F(DeterminismTest, SurvivalSamplesIdenticalAcrossThreadCounts) {
         [&] { return analytics::amount_samples(history_->payments.view()); });
     EXPECT_EQ(full_serial, full_wide);
 
-    for (const auto& [currency, expected] : history_->amounts_by_currency) {
+    const ledger::CurrencyInterner& currencies = history_->payments.currencies;
+    for (std::uint16_t id = 0; id < currencies.size(); ++id) {
+        const ledger::Currency currency = currencies.at(id);
         const auto [serial, wide] = serial_vs_wide([&, c = currency] {
             return analytics::amount_samples(history_->payments.view(), c);
         });
@@ -157,19 +160,33 @@ TEST_F(DeterminismTest, PathStatsIdenticalAcrossThreadCounts) {
     EXPECT_EQ(serial.hop_anomaly(), wide.hop_anomaly());
 }
 
-// ---- scan vs streaming-aggregate parity ---------------------------------
+// ---- scan vs row-by-row parity ------------------------------------------
 
 TEST_F(DeterminismTest, CurrencyScanMatchesStreamedCounts) {
+    // Reference: a plain count over payments.row(i), the serial pass
+    // the chunk-merged currency-id scan must reproduce.
+    std::unordered_map<ledger::Currency, std::uint64_t> counted;
+    for (std::size_t i = 0; i < history_->payments.size(); ++i) {
+        ++counted[history_->payments.row(i).currency];
+    }
     const auto scanned = analytics::count_currencies(history_->payments.view());
-    EXPECT_EQ(scanned, history_->currency_counts);
+    EXPECT_EQ(scanned, counted);
 }
 
 TEST_F(DeterminismTest, AmountScanMatchesStreamedSamples) {
-    for (const auto& [currency, streamed] : history_->amounts_by_currency) {
+    // Reference: per-currency sample lists built from payments.row(i)
+    // in row order, narrowed to float the way the scan narrows.
+    std::unordered_map<ledger::Currency, std::vector<float>> sampled;
+    for (std::size_t i = 0; i < history_->payments.size(); ++i) {
+        const ledger::TxRecord row = history_->payments.row(i);
+        sampled[row.currency].push_back(static_cast<float>(row.amount.to_double()));
+    }
+    ASSERT_EQ(sampled.size(), history_->payments.currencies.size());
+    for (const auto& [currency, expected] : sampled) {
         const std::vector<float> scanned =
             analytics::amount_samples(history_->payments.view(), currency);
         // Same rows, same order, same float narrowing.
-        EXPECT_EQ(scanned, streamed) << std::string_view(currency.code.data(), 3);
+        EXPECT_EQ(scanned, expected) << std::string_view(currency.code.data(), 3);
     }
 }
 

@@ -90,7 +90,7 @@ TEST_F(EndToEndTest, LatteAttackRecoversAVictim) {
 }
 
 TEST_F(EndToEndTest, FigureFourXrpLeadsAndEurTrails) {
-    const auto ranked = analytics::rank_currencies(history_->currency_counts);
+    const auto ranked = analytics::rank_currencies(history_->payments.view());
     ASSERT_GT(ranked.size(), 10u);
     EXPECT_TRUE(ranked[0].currency.is_xrp());
     // EUR is far down the list despite being a major world currency.
@@ -106,13 +106,15 @@ TEST_F(EndToEndTest, FigureFourXrpLeadsAndEurTrails) {
 TEST_F(EndToEndTest, FigureFiveSurvivalOrdering) {
     // BTC payments are micro, MTL payments are ~1e9: at a threshold of
     // 1e6 the MTL survival is ~1 and BTC's ~0.
-    const auto& by_currency = history_->amounts_by_currency;
-    const auto btc = by_currency.find(datagen::cur("BTC"));
-    const auto mtl = by_currency.find(datagen::cur("MTL"));
-    ASSERT_NE(btc, by_currency.end());
-    ASSERT_NE(mtl, by_currency.end());
-    const analytics::SurvivalFunction btc_s(btc->second);
-    const analytics::SurvivalFunction mtl_s(mtl->second);
+    const ledger::PaymentView view = history_->payments.view();
+    const std::vector<float> btc =
+        analytics::amount_samples(view, datagen::cur("BTC"));
+    const std::vector<float> mtl =
+        analytics::amount_samples(view, datagen::cur("MTL"));
+    ASSERT_FALSE(btc.empty());
+    ASSERT_FALSE(mtl.empty());
+    const analytics::SurvivalFunction btc_s(btc);
+    const analytics::SurvivalFunction mtl_s(mtl);
     EXPECT_LT(btc_s.survival(1e6), 0.01);
     EXPECT_GT(mtl_s.survival(1e6), 0.95);
     EXPECT_LT(btc_s.median(), 1.0);

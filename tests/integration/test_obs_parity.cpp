@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "analytics/survival.hpp"
+#include "core/anonymity.hpp"
 #include "core/fingerprint.hpp"
 #include "core/ig_study.hpp"
 #include "core/resolution.hpp"
@@ -88,6 +90,18 @@ TEST_F(ObsParityTest, IgStudyUnperturbed) {
             identified.push_back(row.result.total_payments);
         }
         return identified;
+    });
+}
+
+TEST_F(ObsParityTest, AnonymityProfileUnperturbed) {
+    expect_invariant([&] {
+        std::vector<std::map<std::uint32_t, std::uint64_t>> histograms;
+        for (const core::ResolutionConfig& config : core::fig3_configurations()) {
+            histograms.push_back(
+                core::analyze_anonymity(history_->payments.view(), config)
+                    .histogram());
+        }
+        return histograms;
     });
 }
 

@@ -88,6 +88,47 @@ TEST(PaymentColumnsTest, ToRecordsAndFromRecordsRoundTrip) {
     }
 }
 
+TEST(PaymentColumnsTest, AppendMatchesPushBackOfEveryRow) {
+    const std::vector<TxRecord> a_rows = {
+        record("hub", "shop-a", "USD", 1.0, 1),
+        record("alice", "hub", "XRP", 2.5, 2),
+        record("hub", "bob", "USD", 3.0, 3),
+    };
+    // Shared accounts (hub, bob, alice) in a different first-seen order
+    // than A's, new accounts (carol, shop-b), and a new currency (BTC).
+    const std::vector<TxRecord> b_rows = {
+        record("bob", "carol", "BTC", 0.01, 4),
+        record("carol", "hub", "USD", 7.0, 5),
+        record("hub", "shop-b", "XRP", 8.0, 6),
+        record("alice", "bob", "BTC", 0.5, 7),
+    };
+    const std::vector<TxRecord> none;
+
+    const auto expect_append_equals_concat =
+        [](const std::vector<TxRecord>& front, const std::vector<TxRecord>& back) {
+            PaymentColumns appended = PaymentColumns::from_records(front);
+            appended.append(PaymentColumns::from_records(back));
+
+            std::vector<TxRecord> rows = front;
+            rows.insert(rows.end(), back.begin(), back.end());
+            const PaymentColumns expected = PaymentColumns::from_records(rows);
+
+            EXPECT_EQ(columns_fingerprint(appended), columns_fingerprint(expected));
+            ASSERT_EQ(appended.accounts.size(), expected.accounts.size());
+            for (std::uint32_t i = 0; i < expected.accounts.size(); ++i) {
+                EXPECT_EQ(appended.accounts.at(i), expected.accounts.at(i));
+            }
+            ASSERT_EQ(appended.currencies.size(), expected.currencies.size());
+            for (std::uint16_t i = 0; i < expected.currencies.size(); ++i) {
+                EXPECT_EQ(appended.currencies.at(i), expected.currencies.at(i));
+            }
+        };
+    expect_append_equals_concat(a_rows, b_rows);
+    expect_append_equals_concat(b_rows, a_rows);
+    expect_append_equals_concat(none, b_rows);  // empty A
+    expect_append_equals_concat(a_rows, none);  // empty B
+}
+
 TEST(PaymentViewTest, IterationYieldsEveryRow) {
     PaymentColumns columns;
     for (int i = 0; i < 10; ++i) {
